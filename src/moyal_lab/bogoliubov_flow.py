@@ -32,7 +32,7 @@ from .moyal_rep import (
     hs_norm,
     restrict,
 )
-from .oscillator_models import OscParams, renormalize
+from .oscillator_models import OscParams
 
 __all__ = [
     "BogoliubovFrame",
@@ -64,10 +64,14 @@ def phi_for(p: OscParams, theta: float, model: str) -> float:
     if model == "h2":
         return 0.5 * math.log(p.mu * p.omega * theta / 2.0)
     if model == "h3":
-        mu_p, om_p = renormalize(p, theta)
-        phi = 0.5 * math.log(mu_p * om_p * theta / 2.0)
-        # mu' omega' theta / 2 = u / sqrt(1 + u^2) < 1, so phi < 0 always.
-        assert phi < 0.0, "physical-model Bogoliubov angle must be negative"
+        # mu' omega' theta / 2 = v / sqrt(1 + v^2), so phi < 0; log1p keeps it
+        # from rounding to 0 at large v, the split form 1 / v^2 from overflowing.
+        v = p.mu * p.omega * theta / 2.0
+        if v < 1.0:
+            return 0.5 * math.log(v) - 0.25 * math.log1p(v * v)
+        phi = -0.25 * math.log1p((1.0 / v) ** 2)
+        if phi == 0.0:
+            raise ValueError(f"mu omega theta / 2 = {v:.3g}: the h3 Bogoliubov angle underflows")
         return phi
     raise ValueError(f"unknown model {model!r}")
 

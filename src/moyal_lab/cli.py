@@ -3,8 +3,9 @@
 Subcommands: algebra | spectrum | sweep | symmetry | ground | converge.
 Configuration comes from a flat ``key = value`` file (repeated keys build
 grid lists) with command-line flags taking precedence.  Exit codes:
-0 success, 1 threshold failure, 2 invalid input.  All floats are printed
-with 17 significant digits so reports serve as reproducible oracles.
+0 success, 1 threshold failure, 2 invalid or infeasible input (such as a
+truncation whose dense operators would not fit in memory).  All floats are
+printed with 17 significant digits so reports serve as reproducible oracles.
 """
 
 from __future__ import annotations
@@ -355,10 +356,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = [(m, o, t) for m in mus for o in omegas for t in thetas]
     if not points:
         raise ValueError("empty sweep grid")
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        rows = list(
-            pool.map(lambda pt: _sweep_row(*pt, cfg.truncation), points)
-        )
+    # One job runs in the calling thread: a worker thread's malloc arena
+    # makes peak memory vary from run to run.
+    if cfg.jobs == 1:
+        rows = [_sweep_row(*pt, cfg.truncation) for pt in points]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            rows = list(pool.map(lambda pt: _sweep_row(*pt, cfg.truncation), points))
     lines = []
     if cfg.timestamp:
         lines.append(
@@ -486,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return func(cfg)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -43,7 +43,12 @@ __all__ = [
     "apply_op",
     "restrict",
     "block_norm",
+    "BUILD_REP_MAX_BYTES",
 ]
+
+# Ceiling on the ten dense operators of build_rep, 16 N^4 bytes each: it
+# admits N = 50 (the largest caller, at N = 48, needs about 0.85 GB).
+BUILD_REP_MAX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,13 @@ def build_rep(hs: HSSpace) -> RepOperators:
     B_L / B_R are the left and right actions of the lowering operator; the
     daggered versions are their Hilbert-Schmidt adjoints, which in this
     vectorization coincide with the matrix adjoints (asserted by tests).
+    Raises ValueError, before allocating, when the ten dense operators
+    would exceed ``BUILD_REP_MAX_BYTES``.
     """
+    need = 10 * 16 * hs.dim**2
+    if need > BUILD_REP_MAX_BYTES:
+        limit = BUILD_REP_MAX_BYTES / 2**30
+        raise ValueError(f"dense representation at N={hs.levels}: {need / 2**30:.3g} GiB > {limit:g} GiB")
     theta = hs.theta
     b = annihilator(hs.fock())
     b_l = left_action(b, hs)

@@ -4,6 +4,8 @@ Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
 ladder matrices, adjoints, commutators, Kronecker products, matrix
 exponentials and a Hermitian eigensolver with deterministic output.
+Hamiltonians with a conserved quantity are also held block by block as
+real symmetric tridiagonal blocks, which the same eigensolver accepts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import scipy.linalg
 __all__ = [
     "FockSpace",
     "Operator",
+    "TridiagonalBlocks",
     "identity",
     "annihilator",
     "adjoint",
@@ -110,6 +113,41 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
+@dataclass(frozen=True)
+class TridiagonalBlocks:
+    """Hermitian operator held as a direct sum of real symmetric tridiagonal blocks.
+
+    Each block is ``(index, diag, off)``: it acts on the basis positions
+    ``index``, in that order, with main diagonal ``diag`` and first
+    off-diagonal ``off``.  Entries between different blocks are zero, so
+    memory grows with ``dim`` rather than ``dim**2``.
+    """
+
+    dim: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def to_operator(self) -> Operator:
+        """The same operator as a dense matrix."""
+        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for index, diag, off in self.blocks:
+            mat[index, index] = diag
+            mat[index[:-1], index[1:]] = off
+            mat[index[1:], index[:-1]] = off
+        return Operator(mat)
+
+    def ground_vector(self) -> np.ndarray:
+        """Unit eigenvector of the lowest eigenvalue, in the full basis."""
+        lowest = [
+            scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+            for _, diag, off in self.blocks
+        ]
+        index, diag, off = self.blocks[int(np.argmin(lowest))]
+        _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        vec = np.zeros(self.dim, dtype=np.complex128)
+        vec[index] = v[:, 0]
+        return vec
+
+
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128))
 
@@ -195,6 +233,15 @@ def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     return w, _fix_column_phases(v)
 
 
-def hermitian_eigvals(h: Operator) -> np.ndarray:
-    """Ascending eigenvalues only; same validation as :func:`hermitian_eig`."""
+def hermitian_eigvals(h: Operator | TridiagonalBlocks) -> np.ndarray:
+    """Ascending eigenvalues only.
+
+    Dense operators get the same validation as :func:`hermitian_eig`;
+    tridiagonal blocks are solved one block at a time (non-finite entries
+    raise ValueError there too).
+    """
+    if isinstance(h, TridiagonalBlocks):
+        return np.sort(np.concatenate(
+            [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
+        ))
     return np.linalg.eigvalsh(_symmetrized(h))

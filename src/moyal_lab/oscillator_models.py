@@ -9,9 +9,10 @@ Four models:
 * ``h3``          -- the physical oscillator in the noncommuting positions,
   equal to an h2-type part with renormalized parameters plus a Zeeman term.
 
-Every Hamiltonian is constructed twice (phase-space quadratic form and
-ladder closed form) and the two routes are cross-asserted on the safe
-block, which catches convention errors in the representation.
+Every Hamiltonian is built from its ladder matrix elements, one J3 sector
+at a time (``sector_hamiltonian``), and cross-asserted at small N against
+its phase-space quadratic form, which catches convention errors; ``h1``,
+``h2``, ``h3`` and ``h_commutative`` scatter the sectors into a dense operator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operator_core import FockSpace, Operator, adjoint, annihilator, identity, tensor
+from .operator_core import FockSpace, Operator, TridiagonalBlocks
 from .moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
 from .schwinger_su2 import schwinger_noncommutative
 
@@ -36,6 +37,7 @@ __all__ = [
     "h1",
     "h2",
     "h3",
+    "sector_hamiltonian",
     "alpha_beta",
     "critical_point",
     "renormalize",
@@ -47,8 +49,10 @@ __all__ = [
 
 MODELS = ("commutative", "h1", "h2", "h3")
 
-# Cross-construction agreement threshold, relative to the operator norm.
+# Cross-construction agreement threshold, relative to the operator norm,
+# and the largest truncation the check is run at.
 _XCHECK_RTOL = 1e-12
+_XCHECK_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -133,31 +137,25 @@ def renormalized_params(p: OscParams, theta: float) -> RenormalizedParams:
     )
 
 
-def _compress(builder: Callable[[HSSpace], Operator], hs: HSSpace) -> Operator:
-    """Exact compression of an infinite lattice operator onto the N^2 block.
+def _sectors(levels: int, alpha: float, beta: float, zeeman: float) -> TridiagonalBlocks:
+    """The 2N - 1 sectors d = m - n of a quadratic Hamiltonian.
 
-    Operator products computed inside the truncation corrupt the entries
-    touching the top level (intermediate states above the cutoff are lost),
-    which injects spurious low eigenvalues.  Building on a padded space and
-    restricting yields the true matrix elements everywhere on the block, so
-    the truncated spectrum is variational: eigenvalues approach the exact
-    ones from above and never dip below them.
+    Sector d holds the labels (m, n) with m - n = d in order of m + n.  Its
+    diagonal is alpha (m + n + 1) + zeeman d / 2, and its off-diagonal,
+    between (m, n) and (m + 1, n + 1), is beta sqrt((m + 1)(n + 1)).  These
+    are the matrix elements of the infinite operator, so the blocks are its
+    exact compression onto the N^2 block: the truncated spectrum is
+    variational, approaching the exact levels from above.
     """
-    n = hs.levels
-    big = HSSpace(ModelConfig(theta=hs.theta, truncation=n + 2))
-    full = builder(big)
-    idx = np.array([m * big.levels + k for m in range(n) for k in range(n)])
-    return Operator(full.mat[np.ix_(idx, idx)])
-
-
-def h_commutative(levels: int, p: OscParams) -> Operator:
-    """Two decoupled modes, ladder form omega (a1^dag a1 + a2^dag a2 + 1)."""
-    b = annihilator(FockSpace(levels))
-    eye = identity(levels)
-    a1 = tensor(b, eye)
-    a2 = tensor(eye, b)
-    num = adjoint(a1) @ a1 + adjoint(a2) @ a2
-    return p.omega * (num + identity(levels**2))
+    blocks = []
+    for d in range(1 - levels, levels):
+        k = np.arange(levels - abs(d))
+        m = k + max(d, 0)
+        n = k + max(-d, 0)
+        diag = alpha * (m + n + 1) + zeeman * d / 2.0
+        off = beta * np.sqrt((m[:-1] + 1.0) * (n[:-1] + 1.0))
+        blocks.append((m * levels + n, diag, off))
+    return TridiagonalBlocks(levels**2, tuple(blocks))
 
 
 def _assert_cross_check(quadratic: Operator, ladder: Operator, hs: HSSpace, tag: str) -> None:
@@ -167,127 +165,69 @@ def _assert_cross_check(quadratic: Operator, ladder: Operator, hs: HSSpace, tag:
         raise AssertionError(f"{tag}: quadratic and ladder constructions disagree ({dev:.3e})")
 
 
-def _h1_raw(hs: HSSpace) -> Operator:
+def _check_conventions(model: str, p: OscParams | None, sectors: TridiagonalBlocks, hs: HSSpace) -> None:
+    """Sector entries against the quadratic form of ``build_rep`` on the safe
+    block (products in the truncated space lose states above the cutoff).
+    The agreement does not depend on N, so callers pass a small space."""
     rep = build_rep(hs)
-    theta = hs.theta
-    xc2 = rep.X1c @ rep.X1c + rep.X2c @ rep.X2c
     p2 = rep.P1 @ rep.P1 + rep.P2 @ rep.P2
-    quadratic = (1.0 / theta) * xc2 + (theta / 4.0) * p2
-    ladder = rep.B_Ldag @ rep.B_L + rep.B_R @ rep.B_Rdag + identity(hs.dim)
-    _assert_cross_check(quadratic, ladder, hs, "h1")
-    return ladder
+    xc2 = rep.X1c @ rep.X1c + rep.X2c @ rep.X2c
+    ladder = sectors.to_operator()
+    if model == "h1":
+        quadratic = (1.0 / hs.theta) * xc2 + (hs.theta / 4.0) * p2
+    else:
+        x2 = xc2 if model == "h2" else rep.X1 @ rep.X1 + rep.X2 @ rep.X2
+        quadratic = p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * x2
+    if model == "h3":
+        decomp = zeeman_decomposition(hs, p)
+        recomposed = decomp.h2_part + decomp.zeeman_coeff * decomp.J3
+        _assert_cross_check(recomposed, ladder, hs, "h3 Zeeman recomposition")
+    _assert_cross_check(quadratic, ladder, hs, model)
+
+
+def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: int) -> TridiagonalBlocks:
+    """The named model on its 2N - 1 J3 sectors, in O(N^2) memory.
+
+    J3 = (m - n) / 2 commutes with h1 and h2, and h3 is an h2-type part with
+    renormalized parameters plus the Zeeman term mu theta omega^2 J3.  The
+    ladder coefficients are (omega, 0) for the commutative model (which
+    ignores theta), (1, 0) for h1 and ``alpha_beta`` for h2 and h3.  Every
+    other model is checked against its quadratic form at min(N, 12) levels.
+    """
+    if model == "commutative":
+        return _sectors(FockSpace(levels).levels, p.omega, 0.0, 0.0)
+    if model == "h1":
+        coeffs = (1.0, 0.0, 0.0)
+    elif model == "h2":
+        coeffs = (*alpha_beta(p, theta), 0.0)
+    elif model == "h3":
+        dressed = OscParams(*renormalize(p, theta))
+        coeffs = (*alpha_beta(dressed, theta), p.mu * theta * p.omega**2)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    small = HSSpace(ModelConfig(theta=theta, truncation=min(levels, _XCHECK_LEVELS)))
+    _check_conventions(model, p, _sectors(small.levels, *coeffs), small)
+    return _sectors(levels, *coeffs)
+
+
+def h_commutative(levels: int, p: OscParams) -> Operator:
+    """Two decoupled modes, ladder form omega (a1^dag a1 + a2^dag a2 + 1)."""
+    return sector_hamiltonian("commutative", p, 1.0, levels).to_operator()
 
 
 def h1(hs: HSSpace) -> Operator:
     """Fixed-coefficient unphysical oscillator (exactly diagonal, spectrum m+n+1)."""
-    return _compress(_h1_raw, hs)
-
-
-def _split_phase_space(levels: int, theta: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Phase-space operators as (left, right) factor pairs on the N-level space.
-
-    Each entry (a, c) stands for the vectorized operator
-    left_action(a) + right_action(c); keeping the factors small lets the
-    quadratic forms be assembled without any N^2 x N^2 matrix products.
-    """
-    b = annihilator(FockSpace(levels)).mat
-    bd = b.conj().T
-    zero = np.zeros_like(b)
-    s = math.sqrt(theta / 2.0)
-    r = 1.0 / math.sqrt(2.0 * theta)
-    x1 = (s * (b + bd), zero)
-    x2 = (1j * s * (bd - b), zero)
-    p1 = (1j * r * (bd - b), 1j * r * (b - bd))
-    p2 = (-r * (bd + b), r * (bd + b))
-    half = theta / 2.0
-    x1c = (x1[0] + half * p2[0], half * p2[1])
-    x2c = (x2[0] - half * p1[0], -half * p1[1])
-    return {"x1": x1, "x2": x2, "p1": p1, "p2": p2, "x1c": x1c, "x2c": x2c}
-
-
-def _split_square_sum(
-    splits: list[tuple[np.ndarray, np.ndarray]], levels: int
-) -> np.ndarray:
-    """Sum of squares of split operators.
-
-    Left and right actions commute, so each square factors as
-    (L(a) + R(c))^2 = kron(a^2, I) + 2 kron(a, c^T) + kron(I, (c^2)^T),
-    which needs only small-matrix products.
-    """
-    eye = np.eye(levels, dtype=np.complex128)
-    total = np.zeros((levels**2, levels**2), dtype=np.complex128)
-    for a, c in splits:
-        total += np.kron(a @ a, eye)
-        total += 2.0 * np.kron(a, c.T)
-        total += np.kron(eye, (c @ c).T)
-    return total
-
-
-def _h2_quadratic(space: HSSpace, p: OscParams) -> Operator:
-    sp = _split_phase_space(space.levels, space.theta)
-    xc2 = _split_square_sum([sp["x1c"], sp["x2c"]], space.levels)
-    p2 = _split_square_sum([sp["p1"], sp["p2"]], space.levels)
-    return Operator(p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * xc2)
-
-
-def _h2_cross_check(hs: HSSpace, p: OscParams) -> None:
-    # Convention check against the dense representation operators (both
-    # the quadratic form and the ladder closed form).  The agreement is
-    # truncation independent, so a small space keeps it cheap at large N.
-    space = hs if hs.levels <= 12 else HSSpace(ModelConfig(hs.theta, 12))
-    rep = build_rep(space)
-    dense = (
-        rep.P1 @ rep.P1 + rep.P2 @ rep.P2
-    ) / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * (
-        rep.X1c @ rep.X1c + rep.X2c @ rep.X2c
-    )
-    split = _h2_quadratic(space, p)
-    if not np.allclose(split.mat, dense.mat, atol=1e-12 * max(dense.norm(), 1.0)):
-        raise AssertionError("h2: split-form and dense constructions disagree")
-    a, b = alpha_beta(p, space.theta)
-    ladder = a * (rep.B_Ldag @ rep.B_L + rep.B_Rdag @ rep.B_R) + b * (
-        rep.B_Ldag @ rep.B_R + rep.B_Rdag @ rep.B_L
-    )
-    _assert_cross_check(dense, ladder, space, "h2")
+    return sector_hamiltonian("h1", None, hs.theta, hs.levels).to_operator()
 
 
 def h2(hs: HSSpace, p: OscParams) -> Operator:
-    """Unphysical (mu, omega) oscillator in the commuting coordinates.
-
-    The quadratic form in (X^c, P) and the (alpha, beta) ladder form are
-    cross-asserted against each other before compression.
-    """
-    _h2_cross_check(hs, p)
-    return _compress(lambda space: _h2_quadratic(space, p), hs)
-
-
-def _h3_direct(space: HSSpace, p: OscParams) -> Operator:
-    sp = _split_phase_space(space.levels, space.theta)
-    x2 = _split_square_sum([sp["x1"], sp["x2"]], space.levels)
-    p2 = _split_square_sum([sp["p1"], sp["p2"]], space.levels)
-    return Operator(p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * x2)
-
-
-def _h3_cross_check(hs: HSSpace, p: OscParams) -> None:
-    space = hs if hs.levels <= 12 else HSSpace(ModelConfig(hs.theta, 12))
-    rep = build_rep(space)
-    dense = (
-        rep.P1 @ rep.P1 + rep.P2 @ rep.P2
-    ) / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * (
-        rep.X1 @ rep.X1 + rep.X2 @ rep.X2
-    )
-    split = _h3_direct(space, p)
-    if not np.allclose(split.mat, dense.mat, atol=1e-12 * max(dense.norm(), 1.0)):
-        raise AssertionError("h3: split-form and dense constructions disagree")
-    decomp = zeeman_decomposition(space, p)
-    recomposed = decomp.h2_part + decomp.zeeman_coeff * decomp.J3
-    _assert_cross_check(recomposed, dense, space, "h3")
+    """Unphysical (mu, omega) oscillator in the commuting coordinates."""
+    return sector_hamiltonian("h2", p, hs.theta, hs.levels).to_operator()
 
 
 def h3(hs: HSSpace, p: OscParams) -> Operator:
     """Physical oscillator in the noncommuting positions."""
-    _h3_cross_check(hs, p)
-    return _compress(lambda space: _h3_direct(space, p), hs)
+    return sector_hamiltonian("h3", p, hs.theta, hs.levels).to_operator()
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import Operator, hermitian_eig, hermitian_eigvals
-from .moyal_rep import HSSpace, HSState, ModelConfig, hs_inner, hs_norm
-from .oscillator_models import (
-    OscParams,
-    SpectrumFormula,
-    analytic_spectrum,
-    h_commutative,
-    h1,
-    h2,
-    h3,
-)
+from .operator_core import Operator, TridiagonalBlocks, hermitian_eig, hermitian_eigvals
+from .moyal_rep import HSState, hs_inner, hs_norm
+from .oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, sector_hamiltonian
 from .bogoliubov_flow import GroundState
 
 __all__ = [
@@ -37,18 +29,11 @@ __all__ = [
 ]
 
 
-def build_model(model: str, p: OscParams, theta: float, levels: int) -> tuple[Operator, SpectrumFormula]:
-    """Hamiltonian plus its closed-form spectrum for the named model."""
-    if model == "commutative":
-        return (h_commutative(levels, p), analytic_spectrum(model, p))
-    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
-    if model == "h1":
-        return (h1(hs), analytic_spectrum(model))
-    if model == "h2":
-        return (h2(hs, p), analytic_spectrum(model, p))
-    if model == "h3":
-        return (h3(hs, p), analytic_spectrum(model, p, theta))
-    raise ValueError(f"unknown model {model!r}")
+def build_model(
+    model: str, p: OscParams, theta: float, levels: int
+) -> tuple[TridiagonalBlocks, SpectrumFormula]:
+    """Hamiltonian on its J3 sectors plus its closed-form spectrum for the named model."""
+    return (sector_hamiltonian(model, p, theta, levels), analytic_spectrum(model, p, theta))
 
 
 def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> int:
@@ -136,7 +121,7 @@ class SpectrumReport:
 
 
 def diagonalize_compare(
-    h: Operator,
+    h: Operator | TridiagonalBlocks,
     formula: SpectrumFormula,
     levels: int,
     params: dict | None = None,
@@ -199,18 +184,22 @@ def convergence_study(
     return out
 
 
-def ground_overlap(h: Operator, psi0: GroundState) -> float:
+def ground_overlap(h: Operator | TridiagonalBlocks, psi0: GroundState) -> float:
     """Overlap of the numeric ground eigenvector with the exact psi0."""
     hs = psi0.psi0.space
     if h.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {hs.dim}")
-    evals, evecs = hermitian_eig(h)
+    if isinstance(h, TridiagonalBlocks):
+        evals, vec = hermitian_eigvals(h), h.ground_vector()
+    else:
+        evals, evecs = hermitian_eig(h)
+        vec = evecs[:, 0]
     med = _median_gap(evals)
     tol = 1e-6 * med if med > 0.0 else 1e-12
     if evals[1] - evals[0] <= tol:
         raise ValueError(
             f"numeric ground level is degenerate (E0={evals[0]:.12g}, E1={evals[1]:.12g})"
         )
-    ground = HSState(hs, evecs[:, 0])
+    ground = HSState(hs, vec)
     reference = HSState(hs, psi0.psi0.vec / psi0.norm)
     return float(abs(hs_inner(ground, reference)) / hs_norm(ground))

@@ -68,6 +68,14 @@ class TestPhi:
                 for theta in (0.1, 1.0, 10.0):
                     assert phi_for(OscParams(mu, omega), theta, "h3") < 0.0
 
+    def test_h3_strong_coupling(self):
+        # v = mu omega theta / 2 = 5e9: phi = -log1p(1 / v^2) / 4, far below
+        # the rounding of log(v / sqrt(1 + v^2)).
+        phi = phi_for(OscParams(1e5, 1e5), 1.0, "h3")
+        assert phi == pytest.approx(-0.25 * math.log1p(4e-20), rel=1e-15)
+        with pytest.raises(ValueError, match="underflows"):
+            phi_for(OscParams(1e200, 1e200), 1.0, "h3")
+
     def test_tanh_matches_alpha_beta_ratio(self):
         """Oracle: the h2 mixing angle satisfies tanh(2 phi)... the primed
         frame diagonalizes the (alpha, beta) quadratic form, equivalent to

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -155,6 +156,18 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert payload["numeric"][:6] == pytest.approx([1, 2, 2, 3, 3, 3], abs=1e-10)
 
+    def test_h3_at_large_truncation(self, tmp_path, capsys):
+        out = tmp_path / "h3.json"
+        rc = main(
+            ["spectrum", "--model", "h3", "--truncation", "256", "--no-timestamp", "--out", str(out)]
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["compared_levels"] > 1000
+        # Variational: no level below its exact value beyond rounding.
+        for num, ana in zip(payload["numeric"], payload["analytic"]):
+            assert num >= ana - 1e-12 * max(1.0, abs(ana))
+
 
 class TestSweepCommand:
     def test_critical_point_row(self, tmp_path, capsys):
@@ -300,6 +313,59 @@ class TestSymmetryGroundConverge:
         assert lines[0] == "model,mu,omega,theta,N,max_abs_residual"
         assert [int(r.split(",")[4]) for r in lines[1:]] == [8, 12, 16]
         assert all(float(r.split(",")[5]) <= 1e-12 for r in lines[1:])
+
+    def test_converge_to_large_truncation(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        rc = main(
+            [
+                "converge",
+                "--truncation",
+                "32",
+                "--truncation",
+                "64",
+                "--truncation",
+                "128",
+                "--no-timestamp",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[4]) for r in rows] == [32, 64, 128]
+        assert all(float(r[5]) <= 1e-8 for r in rows)
+
+
+class TestInfeasibleInputs:
+    def test_strong_coupling_ground_rejected(self, tmp_path, capsys):
+        # mu omega theta / 2 = 5e9: the h3 cheap-mode spacing is 1e-5 on
+        # levels near 1e15, below double precision, so the ground level is
+        # numerically degenerate.
+        out = tmp_path / "ground.json"
+        args = ["--mu", "1e5", "--omega", "1e5", "--theta", "1", "--no-timestamp", "--out", str(out)]
+        assert main(["ground", "--model", "h3", *args]) == 2
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_strong_coupling_sweep_runs(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["--mu", "1e5", "--omega", "1e5", "--theta", "1", "--truncation", "12"]
+        assert main(["sweep", *args, "--no-timestamp", "--out", str(out)]) == 0
+        header, row = out.read_text().strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["mu"] == "100000"
+
+    def test_oversized_ground_exits_before_allocating(self, tmp_path, capsys):
+        # required_levels is 403 here: one dense operator would take 393 GiB.
+        out = tmp_path / "ground.json"
+        tracemalloc.start()
+        try:
+            rc = main(["ground", "--model", "h2", "--mu", "10", "--omega", "10", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "N=403" in capsys.readouterr().err
+        assert peak < 64 * 2**20
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -214,6 +214,13 @@ class TestAlgebra:
             assert np.allclose(op.mat, op.mat.conj().T)
 
 
+def test_build_rep_refuses_oversized_space():
+    # Ten dense operators at N = 51 would take about 1.0 GiB; the guard
+    # names N and raises before allocating anything.
+    with pytest.raises(ValueError, match="N=51"):
+        build_rep(HSSpace(ModelConfig(theta=1.0, truncation=51)))
+
+
 class TestDimensionless:
     def test_scaling(self, rep):
         sp = dimensionless(rep, 1.0)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from moyal_lab.operator_core import (
     FockSpace,
     Operator,
+    TridiagonalBlocks,
     adjoint,
     annihilator,
     commutator,
     expm,
     hermitian_eig,
+    hermitian_eigvals,
     identity,
     tensor,
 )
@@ -158,6 +160,33 @@ class TestHermitianEig:
         h = h + h.conj().T
         vals, vecs = hermitian_eig(Operator(h))
         assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
+
+
+class TestTridiagonalBlocks:
+    @staticmethod
+    def blocks(seed: int) -> TridiagonalBlocks:
+        # Blocks of sizes 1, 3 and 4 on a shuffled basis of dimension 8.
+        rng = np.random.default_rng(seed)
+        index = rng.permutation(8)
+        parts = []
+        for lo, hi in ((0, 1), (1, 4), (4, 8)):
+            parts.append((index[lo:hi], rng.normal(size=hi - lo), rng.normal(size=hi - lo - 1)))
+        return TridiagonalBlocks(8, tuple(parts))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_dense(self, seed):
+        h = self.blocks(seed)
+        dense = h.to_operator()
+        vals, _ = hermitian_eig(dense)
+        assert np.allclose(hermitian_eigvals(h), vals, atol=1e-13)
+        g = h.ground_vector()
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-13)
+        assert np.allclose(dense.mat @ g, vals[0] * g, atol=1e-12)
+
+    def test_rejects_non_finite(self):
+        h = TridiagonalBlocks(2, ((np.array([0, 1]), np.array([1.0, np.inf]), np.array([0.5])),))
+        with pytest.raises(ValueError):
+            hermitian_eigvals(h)
 
 
 @settings(max_examples=25, deadline=None)

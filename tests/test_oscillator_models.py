@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moyal_lab.operator_core import commutator
-from moyal_lab.moyal_rep import HSSpace, ModelConfig, block_norm
+from moyal_lab.operator_core import (
+    FockSpace,
+    adjoint,
+    annihilator,
+    commutator,
+    hermitian_eigvals,
+    identity,
+    tensor,
+)
+from moyal_lab.moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
 from moyal_lab.oscillator_models import (
     MODELS,
     OscParams,
@@ -20,6 +28,7 @@ from moyal_lab.oscillator_models import (
     lambdas,
     renormalize,
     renormalized_params,
+    sector_hamiltonian,
     zeeman_decomposition,
 )
 from moyal_lab.schwinger_su2 import schwinger_noncommutative
@@ -221,6 +230,60 @@ class TestHamiltonians:
         assert block_norm(commutator(h, gens.J3), ix) <= 1e-10 * h.norm()
         assert block_norm(commutator(h, gens.J1), ix) > 1e-3 * h.norm()
         assert block_norm(commutator(h, gens.J2), ix) > 1e-3 * h.norm()
+
+
+def padded_oracle(model: str, p: OscParams, theta: float, levels: int) -> np.ndarray:
+    """Exact compression by padding: the dense quadratic form built on
+    N + 2 levels and restricted to the N^2 block.  Each product climbs at
+    most one level, so every retained matrix element is the infinite one."""
+    big = levels + 2
+    if model == "commutative":
+        b = annihilator(FockSpace(big))
+        a1, a2 = tensor(b, identity(big)), tensor(identity(big), b)
+        full = p.omega * (adjoint(a1) @ a1 + adjoint(a2) @ a2 + identity(big**2))
+    else:
+        rep = build_rep(HSSpace(ModelConfig(theta=theta, truncation=big)))
+        p2 = rep.P1 @ rep.P1 + rep.P2 @ rep.P2
+        xc2 = rep.X1c @ rep.X1c + rep.X2c @ rep.X2c
+        if model == "h1":
+            full = (1.0 / theta) * xc2 + (theta / 4.0) * p2
+        elif model == "h2":
+            full = p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * xc2
+        else:
+            x2 = rep.X1 @ rep.X1 + rep.X2 @ rep.X2
+            full = p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * x2
+    idx = np.array([m * big + n for m in range(levels) for n in range(levels)])
+    return full.mat[np.ix_(idx, idx)]
+
+
+class TestSectorForm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(MODELS), positive, positive, positive, st.integers(min_value=4, max_value=10)
+    )
+    def test_matches_padded_oracle(self, model, mu, omega, theta, levels):
+        p = OscParams(mu, omega)
+        h = sector_hamiltonian(model, p, theta, levels)
+        assert h.dim == levels**2
+        assert len(h.blocks) == 2 * levels - 1
+        dense = h.to_operator().mat
+        oracle = padded_oracle(model, p, theta, levels)
+        scale = max(1.0, float(np.linalg.norm(oracle)))
+        assert np.linalg.norm(dense - oracle) <= 1e-12 * scale
+        reference = np.linalg.eigvalsh(dense)
+        assert np.max(np.abs(hermitian_eigvals(h) - reference)) <= 1e-12 * scale
+
+    def test_no_entries_between_sectors(self):
+        # Every non-zero of the oracle joins labels with the same m - n.
+        levels = 6
+        oracle = padded_oracle("h3", OscParams(0.7, 1.9), 1.4, levels)
+        d = np.array([m - n for m in range(levels) for n in range(levels)])
+        rows, cols = np.nonzero(oracle)
+        assert np.array_equal(d[rows], d[cols])
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError):
+            sector_hamiltonian("h4", OscParams(1.0, 1.0), 1.0, 8)
 
 
 class TestAnalyticSpectrum:

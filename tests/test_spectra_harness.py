@@ -143,6 +143,19 @@ class TestGroundOverlap:
         g = ground_state_closed(hs, phi)
         assert ground_overlap(h, g) >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("model, mu, omega", [("h3", 1.0, 1.0), ("h2", 2.0, 1.5)])
+    def test_sector_and_dense_paths_agree(self, model, mu, omega):
+        p = OscParams(mu, omega)
+        phi = phi_for(p, 1.0, model)
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=20))
+        h, _ = build_model(model, p, 1.0, 20)
+        dense = h.to_operator()
+        # The exact ground state, and the vacuum dyad, which overlaps it by
+        # about sech(phi) and so tests the vector rather than a value near 1.
+        for g in (ground_state_closed(hs, phi), ground_state_closed(hs, 0.0)):
+            assert ground_overlap(h, g) == pytest.approx(ground_overlap(dense, g), abs=1e-12)
+        assert ground_overlap(h, ground_state_closed(hs, 0.0)) < 0.999
+
     def test_degenerate_ground_rejected(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
         g = ground_state_closed(hs, 0.0)
