@@ -356,13 +356,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = [(m, o, t) for m in mus for o in omegas for t in thetas]
     if not points:
         raise ValueError("empty sweep grid")
-    # One job runs in the calling thread: a worker thread's malloc arena
-    # makes peak memory vary from run to run.
-    if cfg.jobs == 1:
-        rows = [_sweep_row(*pt, cfg.truncation) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda pt: _sweep_row(*pt, cfg.truncation), points))
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        rows = list(
+            pool.map(lambda pt: _sweep_row(*pt, cfg.truncation), points)
+        )
     lines = []
     if cfg.timestamp:
         lines.append(

@@ -19,6 +19,7 @@ algebraic identity is asserted on a "safe block":
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,12 +44,7 @@ __all__ = [
     "apply_op",
     "restrict",
     "block_norm",
-    "BUILD_REP_MAX_BYTES",
 ]
-
-# Ceiling on the ten dense operators of build_rep, 16 N^4 bytes each: it
-# admits N = 50 (the largest caller, at N = 48, needs about 0.85 GB).
-BUILD_REP_MAX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -218,12 +214,15 @@ def build_rep(hs: HSSpace) -> RepOperators:
     daggered versions are their Hilbert-Schmidt adjoints, which in this
     vectorization coincide with the matrix adjoints (asserted by tests).
     Raises ValueError, before allocating, when the ten dense operators
-    would exceed ``BUILD_REP_MAX_BYTES``.
+    would exceed the machine's physical memory.
     """
     need = 10 * 16 * hs.dim**2
-    if need > BUILD_REP_MAX_BYTES:
-        limit = BUILD_REP_MAX_BYTES / 2**30
-        raise ValueError(f"dense representation at N={hs.levels}: {need / 2**30:.3g} GiB > {limit:g} GiB")
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ValueError(
+            f"dense representation at N={hs.levels} needs {need / 2**30:.3g} GiB;"
+            f" this machine has {memory / 2**30:.3g} GiB"
+        )
     theta = hs.theta
     b = annihilator(hs.fock())
     b_l = left_action(b, hs)

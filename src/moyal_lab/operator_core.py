@@ -27,6 +27,7 @@ __all__ = [
     "expm",
     "hermitian_eig",
     "hermitian_eigvals",
+    "hermitian_ground",
 ]
 
 # Normality / hermiticity checks are scale-relative.
@@ -135,18 +136,6 @@ class TridiagonalBlocks:
             mat[index[1:], index[:-1]] = off
         return Operator(mat)
 
-    def ground_vector(self) -> np.ndarray:
-        """Unit eigenvector of the lowest eigenvalue, in the full basis."""
-        lowest = [
-            scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-            for _, diag, off in self.blocks
-        ]
-        index, diag, off = self.blocks[int(np.argmin(lowest))]
-        _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        vec = np.zeros(self.dim, dtype=np.complex128)
-        vec[index] = v[:, 0]
-        return vec
-
 
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128))
@@ -241,7 +230,26 @@ def hermitian_eigvals(h: Operator | TridiagonalBlocks) -> np.ndarray:
     raise ValueError there too).
     """
     if isinstance(h, TridiagonalBlocks):
-        return np.sort(np.concatenate(
-            [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
-        ))
+        return np.sort(np.concatenate(_block_eigvals(h)))
     return np.linalg.eigvalsh(_symmetrized(h))
+
+
+def _block_eigvals(h: TridiagonalBlocks) -> list[np.ndarray]:
+    return [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
+
+
+def hermitian_ground(h: Operator | TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of h and the unit eigenvector of the lowest one.
+
+    Tridiagonal blocks are solved once each for their eigenvalues; the
+    vector comes from the block that holds the lowest of them.
+    """
+    if not isinstance(h, TridiagonalBlocks):
+        w, v = hermitian_eig(h)
+        return w, v[:, 0]
+    per_block = _block_eigvals(h)
+    index, diag, off = h.blocks[int(np.argmin([w[0] for w in per_block]))]
+    _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vec = np.zeros(h.dim, dtype=np.complex128)
+    vec[index] = v[:, 0]
+    return np.sort(np.concatenate(per_block)), vec

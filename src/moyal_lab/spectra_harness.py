@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import Operator, TridiagonalBlocks, hermitian_eig, hermitian_eigvals
+from .operator_core import Operator, TridiagonalBlocks, hermitian_eigvals, hermitian_ground
 from .moyal_rep import HSState, hs_inner, hs_norm
 from .oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, sector_hamiltonian
 from .bogoliubov_flow import GroundState
@@ -189,11 +189,7 @@ def ground_overlap(h: Operator | TridiagonalBlocks, psi0: GroundState) -> float:
     hs = psi0.psi0.space
     if h.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {hs.dim}")
-    if isinstance(h, TridiagonalBlocks):
-        evals, vec = hermitian_eigvals(h), h.ground_vector()
-    else:
-        evals, evecs = hermitian_eig(h)
-        vec = evecs[:, 0]
+    evals, vec = hermitian_ground(h)
     med = _median_gap(evals)
     tol = 1e-6 * med if med > 0.0 else 1e-12
     if evals[1] - evals[0] <= tol:

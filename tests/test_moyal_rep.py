@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,9 +216,12 @@ class TestAlgebra:
             assert np.allclose(op.mat, op.mat.conj().T)
 
 
-def test_build_rep_refuses_oversized_space():
-    # Ten dense operators at N = 51 would take about 1.0 GiB; the guard
-    # names N and raises before allocating anything.
+def test_build_rep_refuses_oversized_space(monkeypatch):
+    # Ten dense operators at N = 51 take about 1.01 GiB: on a machine that
+    # reports 1 GiB of memory the guard names N and raises before
+    # allocating anything.
+    pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(ValueError, match="N=51"):
         build_rep(HSSpace(ModelConfig(theta=1.0, truncation=51)))
 

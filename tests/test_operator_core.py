@@ -13,6 +13,7 @@ from moyal_lab.operator_core import (
     expm,
     hermitian_eig,
     hermitian_eigvals,
+    hermitian_ground,
     identity,
     tensor,
 )
@@ -179,7 +180,8 @@ class TestTridiagonalBlocks:
         dense = h.to_operator()
         vals, _ = hermitian_eig(dense)
         assert np.allclose(hermitian_eigvals(h), vals, atol=1e-13)
-        g = h.ground_vector()
+        w, g = hermitian_ground(h)
+        assert np.allclose(w, vals, atol=1e-13)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(dense.mat @ g, vals[0] * g, atol=1e-12)
 
