@@ -356,10 +356,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = [(m, o, t) for m in mus for o in omegas for t in thetas]
     if not points:
         raise ValueError("empty sweep grid")
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        rows = list(
-            pool.map(lambda pt: _sweep_row(*pt, cfg.truncation), points)
-        )
+    # One job runs in the calling thread: a fresh worker thread per call
+    # makes the process's peak memory vary from run to run.
+    row = lambda pt: _sweep_row(*pt, cfg.truncation)
+    if cfg.jobs == 1:
+        rows = [row(pt) for pt in points]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            rows = list(pool.map(row, points))
     lines = []
     if cfg.timestamp:
         lines.append(
