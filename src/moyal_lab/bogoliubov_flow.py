@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .operator_core import Operator, adjoint, annihilator, commutator, expm
@@ -26,11 +27,11 @@ from .moyal_rep import (
     HSSpace,
     HSState,
     ModelConfig,
-    basis_state,
     block_norm,
     build_rep,
     hs_norm,
     restrict,
+    state_from_matrix,
 )
 from .oscillator_models import OscParams
 
@@ -137,12 +138,15 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
 
 @dataclass(frozen=True)
 class BogoliubovFrame:
-    """Primed ladder operators plus the unitary realizing the frame change."""
+    """Primed ladder operators of the frame change.
+
+    The unitary realizing it is :func:`dilatation_unitary` with the same
+    phi and the constant ``scaling_constant``.
+    """
 
     phi: float
     B_L_prime: Operator
     B_R_prime: Operator
-    U: Operator
     scaling_constant: float
 
 
@@ -152,7 +156,6 @@ def bogoliubov_frame(hs: HSSpace, phi: float) -> BogoliubovFrame:
         phi=phi,
         B_L_prime=bl_p,
         B_R_prime=br_p,
-        U=dilatation_unitary(hs, phi),
         scaling_constant=dilatation_scaling_constant(),
     )
 
@@ -179,6 +182,8 @@ def required_levels(phi: float, tail: float = TAIL_BOUND) -> int:
     t = abs(math.tanh(phi))
     if t == 0.0:
         return 2
+    if t == 1.0:
+        raise ValueError(f"|tanh(phi)| rounds to 1 at phi={phi:.6g}: no truncation reaches the tail bound")
     return max(2, math.ceil(math.log(tail) / (2.0 * math.log(t))))
 
 
@@ -200,6 +205,18 @@ def ground_state_closed(hs: HSSpace, phi: float) -> GroundState:
     return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
 
 
+def _sector_flow(levels: int, t: float) -> np.ndarray:
+    """exp(t K) |0><0| on the m = n sector, as the coefficients of |m><m|.
+
+    K = B_L^dag B_R - B_L B_R^dag keeps that sector:
+    K |m><m| = (m + 1) |m+1><m+1| - m |m-1><m-1|, the first term absent
+    at the top level.  So the flow is N-dimensional, not N^2.
+    """
+    k = np.arange(1.0, levels)
+    gen = scipy.sparse.diags_array([k, -k], offsets=[-1, 1], format="csr")
+    return scipy.sparse.linalg.expm_multiply(t * gen, np.eye(1, levels)[0])
+
+
 @lru_cache(maxsize=1)
 def _ground_exponent_sign() -> float:
     """Sign s in psi0 = exp(s phi (B_L^dag B_R - B_L B_R^dag)) |0><0|.
@@ -208,26 +225,18 @@ def _ground_exponent_sign() -> float:
     """
     hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
     phi = 0.05
-    target = ground_state_closed(hs, phi).psi0.vec
-    rep = build_rep(hs)
-    k = (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag).mat
-    v0 = basis_state(hs, 0, 0).vec
-    best = min(
+    target = np.diagonal(ground_state_closed(hs, phi).psi0.as_matrix())
+    return min(
         (-1.0, 1.0),
-        key=lambda s: np.linalg.norm(scipy.sparse.linalg.expm_multiply(s * phi * k, v0) - target),
+        key=lambda s: np.linalg.norm(_sector_flow(hs.levels, s * phi) - target),
     )
-    return best
 
 
 def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
     """Unitary flow applied to the vacuum dyad; must match the closed form."""
     _check_tail(hs, phi)
-    rep = build_rep(hs)
-    k = (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag).mat
-    v0 = basis_state(hs, 0, 0).vec
-    sign = _ground_exponent_sign()
-    vec = scipy.sparse.linalg.expm_multiply(sign * phi * k, v0)
-    state = HSState(hs, vec)
+    coeffs = _sector_flow(hs.levels, _ground_exponent_sign() * phi)
+    state = state_from_matrix(hs, np.diag(coeffs))
     return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
 
 

@@ -3,7 +3,8 @@
 Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
 ladder matrices, adjoints, commutators, Kronecker products, matrix
-exponentials and a Hermitian eigensolver with deterministic output.
+exponentials (taken block by block on a generator's invariant blocks) and
+a Hermitian eigensolver with deterministic output.
 Hamiltonians with a conserved quantity are also held block by block as
 real symmetric tridiagonal blocks, which the same eigensolver accepts.
 """
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "FockSpace",
@@ -25,6 +28,7 @@ __all__ = [
     "commutator",
     "tensor",
     "expm",
+    "invariant_blocks",
     "hermitian_eig",
     "hermitian_eigvals",
     "hermitian_ground",
@@ -160,26 +164,47 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat))
 
 
+def invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Basis index sets that m maps into themselves.
+
+    They are the connected components of the non-zero pattern of m, so m
+    is block diagonal on them up to a permutation of the basis.  Each set
+    is ascending, and the sets are ordered by their smallest index.
+    """
+    _, labels = connected_components(scipy.sparse.csr_array(m != 0), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
+def _expm_hermitian(m: np.ndarray, factor: complex) -> np.ndarray:
+    """exp(factor h) for Hermitian h = m, one invariant block at a time."""
+    out = np.zeros_like(m)
+    for index in invariant_blocks(m):
+        block = np.ix_(index, index)
+        h = m[block]
+        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        out[block] = (v * np.exp(factor * w)) @ v.conj().T
+    return out
+
+
 def expm(a: Operator) -> Operator:
     """Matrix exponential.
 
-    Normal inputs (which covers every exponential in this package: the
-    generators are Hermitian or anti-Hermitian) go through a unitary Schur
-    decomposition; anything else falls back to scipy's scaling-and-squaring.
+    Hermitian and anti-Hermitian inputs (every rotation and flow generator
+    in this package) are diagonalized with eigh, one invariant block at a
+    time: the su(2) generators keep m + n and the dilatation m - n, so no
+    block has more than N levels.  Other normal inputs go through a
+    unitary Schur decomposition; anything else falls back to scipy's
+    scaling-and-squaring.
     """
     m = a.mat
     scale = np.linalg.norm(m)
     if scale == 0.0:
         return identity(a.dim)
-    # Hermitian and anti-Hermitian inputs (every rotation and flow
-    # generator in this package) take the eigh route, which is much
-    # faster than a complex Schur decomposition.
     if np.linalg.norm(m - m.conj().T) <= NORMALITY_RTOL * scale:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        return Operator((v * np.exp(w)) @ v.conj().T)
+        return Operator(_expm_hermitian(m, 1.0))
     if np.linalg.norm(m + m.conj().T) <= NORMALITY_RTOL * scale:
-        w, v = np.linalg.eigh((m - m.conj().T) / 2j)
-        return Operator((v * np.exp(1j * w)) @ v.conj().T)
+        return Operator(_expm_hermitian(m / 1j, 1j))
     defect = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
     if defect <= NORMALITY_RTOL * scale**2:
         t, q = scipy.linalg.schur(m, output="complex")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
 from .moyal_rep import HSSpace, build_rep, restrict
@@ -164,12 +165,18 @@ def rotation_matrix(lam) -> np.ndarray:
 
 
 def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
-    """Conjugate each operator: O -> exp(-i lam.J) O exp(+i lam.J)."""
+    """Conjugate each operator: O -> exp(-i lam.J) O exp(+i lam.J).
+
+    The generators keep m + n, so u is block diagonal on the spin-j
+    shells, and the phase-space operators step one level at a time.  Both
+    are held as sparse matrices for the two products, which then cost
+    O(N^3) instead of the dense O(N^6).
+    """
     lam = np.asarray(lam, dtype=float)
     gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
-    u = expm(Operator(-1j * gen))
-    ud = u.dag()
-    return [u @ op @ ud for op in ops]
+    u = scipy.sparse.csr_array(expm(Operator(-1j * gen)).mat)
+    ud = u.conj().T.tocsr()
+    return [Operator((u @ scipy.sparse.csr_array(op.mat) @ ud).toarray()) for op in ops]
 
 
 def _span_fit_residual(target: Operator, basis: list[Operator], indices: np.ndarray):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moyal_lab.operator_core import commutator, identity
+from moyal_lab.operator_core import commutator, identity, invariant_blocks
 from moyal_lab.moyal_rep import (
     HSSpace,
     ModelConfig,
@@ -160,6 +163,16 @@ class TestDilatation:
         u = dilatation_unitary(hs, 0.7)
         assert np.allclose((u @ u.dag()).mat, np.eye(hs.dim), atol=1e-11)
 
+    def test_generator_splits_into_j3_sectors(self):
+        """The dilatation keeps m - n: its invariant blocks are the 2N - 1
+        sectors, so its exponential never works on more than N levels."""
+        space = HSSpace(ModelConfig(theta=1.0, truncation=7))
+        sectors = [
+            sorted({m - n for m, n in map(space.label, index)})
+            for index in invariant_blocks(dilatation(space).mat)
+        ]
+        assert sorted(sectors) == [[d] for d in range(-6, 7)]
+
     def test_frame_bundle(self, hs):
         frame = bogoliubov_frame(hs, 0.25)
         assert frame.phi == 0.25
@@ -172,10 +185,11 @@ class TestDilatation:
         space = HSSpace(ModelConfig(theta=1.0, truncation=24))
         rep = build_rep(space)
         phi = 0.2
-        frame = bogoliubov_frame(space, phi)
-        conj = frame.U @ rep.B_L @ frame.U.dag()
+        u = dilatation_unitary(space, phi)
+        conj = u @ rep.B_L @ u.dag()
+        bl_p, _ = bogoliubov_pair(space, phi)
         ix = space.shell_indices(6)
-        diff = restrict(conj - frame.B_L_prime, ix)
+        diff = restrict(conj - bl_p, ix)
         assert np.linalg.norm(diff) < 1e-8
 
 
@@ -185,6 +199,11 @@ class TestGroundState:
         n = required_levels(phi)
         t = abs(math.tanh(phi))
         assert t ** (2 * n) <= 1e-14 < t ** (2 * (n - 1))
+
+    def test_required_levels_rejects_saturated_angle(self):
+        # tanh(40) rounds to 1: no truncation meets the tail bound.
+        with pytest.raises(ValueError, match="tail bound"):
+            required_levels(40.0)
 
     def test_truncation_guard(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
@@ -214,6 +233,25 @@ class TestGroundState:
         a = ground_state_closed(hs, phi)
         b = ground_state_unitary(hs, phi)
         assert np.linalg.norm(a.psi0.vec - b.psi0.vec) < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=12),
+        st.floats(min_value=0.05, max_value=0.95),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_sector_flow_matches_dense(self, levels, fraction, sign):
+        """The m = n sector flow against expm_multiply of the dense N^2 x N^2
+        generator, for either sign of phi up to the tail-bound limit at N."""
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        phi = sign * fraction * math.atanh(1e-14 ** (1.0 / (2 * levels)))
+        rep = build_rep(hs)
+        k = (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag).mat
+        # K |0><0| = |1><1|, and the closed form's |1><1| coefficient is
+        # -tanh(phi) sech(phi) ~ -phi, so the flow runs along -phi K.
+        dense = scipy.sparse.linalg.expm_multiply(-phi * k, basis_state(hs, 0, 0).vec)
+        got = ground_state_unitary(hs, phi).psi0.vec
+        assert np.max(np.abs(got - dense)) <= 1e-13
 
     def test_annihilated_by_primed_lowering(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))

@@ -353,8 +353,11 @@ class TestInfeasibleInputs:
         header, row = out.read_text().strip().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["mu"] == "100000"
 
-    def test_oversized_ground_exits_before_allocating(self, tmp_path, capsys):
-        # required_levels is 403 here: one dense operator would take 393 GiB.
+    def test_large_ground_runs_in_its_sector(self, tmp_path, capsys):
+        # required_levels is 403 here.  The flow runs in the N-dimensional
+        # m = n sector and the spectrum in J3 sectors, so no dense N^2 x N^2
+        # operator is built.  Exit 1 is allowed: closed_vs_unitary can exceed
+        # its 1e-10 gate when required_levels sets the truncation.
         out = tmp_path / "ground.json"
         tracemalloc.start()
         try:
@@ -362,9 +365,32 @@ class TestInfeasibleInputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert rc in (0, 1)
+        assert json.loads(out.read_text())["params"]["N"] == 403
+        assert peak < 64 * 2**20
+
+    def test_oversized_symmetry_exits_before_allocating(self, tmp_path, capsys):
+        # The symmetry suite needs the dense representation: one operator
+        # at N = 403 would take 393 GiB.
+        out = tmp_path / "symmetry.json"
+        tracemalloc.start()
+        try:
+            rc = main(["symmetry", "--truncation", "403", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert rc == 2
         assert "N=403" in capsys.readouterr().err
         assert peak < 64 * 2**20
+        assert not out.exists()
+
+    def test_saturated_angle_ground_rejected(self, tmp_path, capsys):
+        # phi = -46.4: tanh(phi) rounds to -1, so no truncation meets the
+        # ground-state tail bound.
+        out = tmp_path / "ground.json"
+        args = ["--mu", "1e-20", "--omega", "1e-20", "--theta", "1", "--out", str(out)]
+        assert main(["ground", "--model", "h2", *args]) == 2
+        assert "tail bound" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from moyal_lab.operator_core import (
     hermitian_eigvals,
     hermitian_ground,
     identity,
+    invariant_blocks,
     tensor,
 )
 
@@ -130,6 +132,47 @@ class TestExpm:
             term = term @ m / k
             series = series + term
         assert np.allclose(expm(Operator(m)).mat, series, atol=1e-13)
+
+
+def _planted_blocks(rng, sizes):
+    """Hermitian matrix with dense blocks of the given sizes on a shuffled
+    basis, and the blocks' index sets as sorted lists."""
+    dim = sum(sizes)
+    blocks = np.split(rng.permutation(dim), np.cumsum(sizes)[:-1])
+    m = np.zeros((dim, dim), dtype=complex)
+    for index in blocks:
+        h = rng.normal(size=(index.size, index.size)) + 1j * rng.normal(size=(index.size, index.size))
+        m[np.ix_(index, index)] = h + h.conj().T
+    return m, sorted(sorted(b.tolist()) for b in blocks)
+
+
+class TestBlockExpm:
+    """The block-wise exponential against scipy's dense scaling-and-squaring."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        m, blocks = _planted_blocks(rng, [1, 5, 2, 4, 1, 3])
+        m *= 0.3
+        assert [b.tolist() for b in invariant_blocks(m)] == blocks
+        for gen in (m, 1j * m):
+            exact = scipy.linalg.expm(gen)
+            assert np.max(np.abs(expm(Operator(gen)).mat - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_dense_block(self, seed):
+        rng = np.random.default_rng(seed)
+        m, _ = _planted_blocks(rng, [12])
+        m *= 0.1
+        assert len(invariant_blocks(m)) == 1
+        for gen in (m, 1j * m):
+            exact = scipy.linalg.expm(gen)
+            assert np.max(np.abs(expm(Operator(gen)).mat - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
+
+    def test_zero_rows_are_singleton_blocks(self):
+        m = np.zeros((4, 4), dtype=complex)
+        m[1, 3] = m[3, 1] = 2.0
+        assert [b.tolist() for b in invariant_blocks(m)] == [[0], [1, 3], [2]]
 
 
 class TestHermitianEig:

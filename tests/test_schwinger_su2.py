@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moyal_lab.operator_core import Operator, commutator, expm, identity
+from moyal_lab.operator_core import Operator, commutator, expm, identity, invariant_blocks
 from moyal_lab.moyal_rep import (
     HSSpace,
     ModelConfig,
@@ -171,6 +174,38 @@ class TestRotations:
         broken = position_noncovariance(gens, rep.X1, rep.X2, [0.7, 0.2, 0.0], space)
         assert covariant < 1e-10
         assert broken > 0.01 * rep.X1.norm()
+
+
+class TestShellRotations:
+    def test_generators_split_into_spin_j_shells(self):
+        """A generic rotation generator keeps m + n: its invariant blocks are
+        the 2N - 1 shells, none larger than N."""
+        space = HSSpace(ModelConfig(theta=1.0, truncation=7))
+        gens = schwinger_noncommutative(space)
+        gen = sum(l * j.mat for l, j in zip([0.4, -1.3, 0.8], gens.as_tuple()))
+        shells = [sorted({sum(space.label(k)) for k in index}) for index in invariant_blocks(gen)]
+        assert sorted(shells) == [[s] for s in range(2 * 7 - 1)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=10),
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_conjugation_matches_dense(self, levels, lam, seed):
+        """Sparse shell-wise conjugation against the dense u O u^dag."""
+        space = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        gens = schwinger_noncommutative(space)
+        rng = np.random.default_rng(seed)
+        ops = [
+            Operator(rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))),
+            dimensionless(build_rep(space), space.theta).x1c,
+        ]
+        gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
+        u = Operator(scipy.linalg.expm(-1j * gen))
+        for got, op in zip(conjugate_by_rotation(gens, ops, lam), ops):
+            dense = u @ op @ u.dag()
+            assert np.max(np.abs(got.mat - dense.mat)) <= 1e-12 * max(1.0, np.abs(dense.mat).max())
 
 
 class TestAdjointRep:
