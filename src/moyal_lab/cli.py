@@ -2,7 +2,8 @@
 
 Subcommands: algebra | spectrum | sweep | symmetry | ground | converge.
 Configuration comes from a flat ``key = value`` file (repeated keys build
-grid lists) with command-line flags taking precedence.  Exit codes:
+grid lists; unknown keys are rejected), and a command-line flag replaces
+every file value of its key.  Exit codes:
 0 success, 1 threshold failure, 2 invalid or infeasible input (such as a
 truncation whose dense operators would not fit in memory).  All floats are
 printed with 17 significant digits so reports serve as reproducible oracles.
@@ -13,8 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RunConfig:
     truncation: int = 16
     format: str = "json"
     out: str | None = None
-    jobs: int = 1
     timestamp: bool = True
     mu_grid: tuple[float, ...] = ()
     omega_grid: tuple[float, ...] = ()
@@ -80,8 +79,6 @@ class RunConfig:
             raise ValueError(f"truncation must be at least {min_truncation}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         for g, name in (
             (self.mu_grid, "mu"),
             (self.omega_grid, "omega"),
@@ -108,57 +105,36 @@ def parse_config_file(path: str) -> dict[str, list[str]]:
     return values
 
 
+# Config file keys and flags that share one name, with the conversion of
+# their values.
+_KEYS = {
+    "model": str,
+    "mu": float,
+    "omega": float,
+    "theta": float,
+    "truncation": int,
+    "format": str,
+    "out": str,
+}
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_vals: dict[str, list[str]] = {}
-    if args.config:
-        file_vals = parse_config_file(args.config)
-
-    def last_float(key: str) -> float | None:
-        return float(file_vals[key][-1]) if key in file_vals else None
-
-    updates: dict = {}
-    if "model" in file_vals:
-        updates["model"] = file_vals["model"][-1]
+    values = parse_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in _KEYS:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
+    for key in _KEYS:
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = flag if isinstance(flag, list) else [flag]
+    lists = {key: tuple(_KEYS[key](v) for v in vals) for key, vals in values.items()}
+    fields = {key: vals[-1] for key, vals in lists.items()}
     for key in ("mu", "omega", "theta"):
-        v = last_float(key)
-        if v is not None:
-            updates[key] = v
-        if key in file_vals and len(file_vals[key]) > 1:
-            updates[f"{key}_grid"] = tuple(float(x) for x in file_vals[key])
-    if "truncation" in file_vals:
-        ns = tuple(int(x) for x in file_vals["truncation"])
-        updates["truncation"] = ns[-1]
-        updates["truncation_list"] = ns
-    if "format" in file_vals:
-        updates["format"] = file_vals["format"][-1]
-    if "out" in file_vals:
-        updates["out"] = file_vals["out"][-1]
-    if "jobs" in file_vals:
-        updates["jobs"] = int(file_vals["jobs"][-1])
-    cfg = replace(cfg, **updates)
-
-    flag_updates: dict = {}
-    if args.model is not None:
-        flag_updates["model"] = args.model
-    for key in ("mu", "omega", "theta"):
-        vals = getattr(args, key)
-        if vals:
-            flag_updates[key] = vals[-1]
-            if len(vals) > 1:
-                flag_updates[f"{key}_grid"] = tuple(vals)
-    if args.truncation:
-        flag_updates["truncation"] = args.truncation[-1]
-        flag_updates["truncation_list"] = tuple(args.truncation)
-    if args.format is not None:
-        flag_updates["format"] = args.format
-    if args.out is not None:
-        flag_updates["out"] = args.out
-    if args.jobs is not None:
-        flag_updates["jobs"] = args.jobs
-    if args.no_timestamp:
-        flag_updates["timestamp"] = False
-    return replace(cfg, **flag_updates)
+        if len(lists.get(key, ())) > 1:
+            fields[f"{key}_grid"] = lists[key]
+    if "truncation" in lists:
+        fields["truncation_list"] = lists["truncation"]
+    return RunConfig(timestamp=not args.no_timestamp, **fields)
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -197,9 +173,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _stamp(cfg: RunConfig) -> dict:
+    """The report's UTC timestamp, or nothing under --no-timestamp."""
     if not cfg.timestamp:
         return {}
     return {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+
+
+def _csv_text(cfg: RunConfig, header: str, rows: list[str]) -> str:
+    stamp = [f"# timestamp: {t}" for t in _stamp(cfg).values()]
+    return "\n".join([*stamp, header, *rows])
 
 
 def algebra_residuals(hs: HSSpace) -> list[tuple[str, float]]:
@@ -257,30 +239,23 @@ def cmd_algebra(cfg: RunConfig) -> int:
 
 
 def _spectrum_csv(report: SpectrumReport, cfg: RunConfig) -> str:
-    lines = []
-    if cfg.timestamp:
-        lines.append(
-            "# timestamp: "
-            + datetime.datetime.now(datetime.timezone.utc).isoformat()
+    rows = [
+        ",".join(
+            [
+                report.model,
+                fmt(cfg.mu),
+                fmt(cfg.omega),
+                fmt(cfg.theta),
+                str(report.N),
+                str(k),
+                fmt(num),
+                fmt(ana),
+                fmt(abs(num - ana)),
+            ]
         )
-    lines.append("model,mu,omega,theta,N,level_index,numeric,analytic,residual")
-    for k, (num, ana) in enumerate(zip(report.numeric, report.analytic)):
-        lines.append(
-            ",".join(
-                [
-                    report.model,
-                    fmt(cfg.mu),
-                    fmt(cfg.omega),
-                    fmt(cfg.theta),
-                    str(report.N),
-                    str(k),
-                    fmt(num),
-                    fmt(ana),
-                    fmt(abs(num - ana)),
-                ]
-            )
-        )
-    return "\n".join(lines)
+        for k, (num, ana) in enumerate(zip(report.numeric, report.analytic))
+    ]
+    return _csv_text(cfg, "model,mu,omega,theta,N,level_index,numeric,analytic,residual", rows)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -356,23 +331,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     points = [(m, o, t) for m in mus for o in omegas for t in thetas]
     if not points:
         raise ValueError("empty sweep grid")
-    # One job runs in the calling thread: a fresh worker thread per call
-    # makes the process's peak memory vary from run to run.
-    row = lambda pt: _sweep_row(*pt, cfg.truncation)
-    if cfg.jobs == 1:
-        rows = [row(pt) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(row, points))
-    lines = []
-    if cfg.timestamp:
-        lines.append(
-            "# timestamp: "
-            + datetime.datetime.now(datetime.timezone.utc).isoformat()
-        )
-    lines.append(_SWEEP_COLUMNS)
-    lines.extend(rows)
-    _emit("\n".join(lines), cfg.out)
+    rows = [_sweep_row(*pt, cfg.truncation) for pt in points]
+    _emit(_csv_text(cfg, _SWEEP_COLUMNS, rows), cfg.out)
     sys.stdout.write(f"swept {len(points)} points\n")
     return 0
 
@@ -426,20 +386,11 @@ def cmd_ground(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     n_list = sorted(set(cfg.truncation_list or (12, 16, 24, 32)))
     rows = convergence_study(cfg.model, OscParams(cfg.mu, cfg.omega), cfg.theta, n_list)
-    lines = []
-    if cfg.timestamp:
-        lines.append(
-            "# timestamp: "
-            + datetime.datetime.now(datetime.timezone.utc).isoformat()
-        )
-    lines.append("model,mu,omega,theta,N,max_abs_residual")
-    for n, resid in rows:
-        lines.append(
-            ",".join(
-                [cfg.model, fmt(cfg.mu), fmt(cfg.omega), fmt(cfg.theta), str(n), fmt(resid)]
-            )
-        )
-    _emit("\n".join(lines), cfg.out)
+    lines = [
+        ",".join([cfg.model, fmt(cfg.mu), fmt(cfg.omega), fmt(cfg.theta), str(n), fmt(resid)])
+        for n, resid in rows
+    ]
+    _emit(_csv_text(cfg, "model,mu,omega,theta,N,max_abs_residual", lines), cfg.out)
     final = rows[-1][1]
     sys.stdout.write(f"final residual at N={rows[-1][0]}: {fmt(final)}\n")
     return 0 if final <= 1e-8 else 1
@@ -471,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--truncation", type=int, action="append", default=None)
         sp.add_argument("--format", choices=_FORMATS, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--no-timestamp", action="store_true")
     return parser
 

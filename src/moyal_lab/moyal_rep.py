@@ -36,6 +36,7 @@ __all__ = [
     "left_action",
     "right_action",
     "build_rep",
+    "check_memory",
     "hs_inner",
     "hs_norm",
     "dimensionless",
@@ -207,6 +208,16 @@ class RepOperators:
     P2: Operator
 
 
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the machine's physical
+    memory; ``what`` names the request in the message."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ValueError(
+            f"{what} needs {need / 2**30:.3g} GiB; this machine has {memory / 2**30:.3g} GiB"
+        )
+
+
 def build_rep(hs: HSSpace) -> RepOperators:
     """All ten representation operators for the given space.
 
@@ -216,13 +227,7 @@ def build_rep(hs: HSSpace) -> RepOperators:
     Raises ValueError, before allocating, when the ten dense operators
     would exceed the machine's physical memory.
     """
-    need = 10 * 16 * hs.dim**2
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise ValueError(
-            f"dense representation at N={hs.levels} needs {need / 2**30:.3g} GiB;"
-            f" this machine has {memory / 2**30:.3g} GiB"
-        )
+    check_memory(10 * 16 * hs.dim**2, f"dense representation at N={hs.levels}")
     theta = hs.theta
     b = annihilator(hs.fock())
     b_l = left_action(b, hs)

@@ -9,7 +9,6 @@ interleaving the well-converged ones (see trusted_level_count).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,12 @@ def build_model(
     return (sector_hamiltonian(model, p, theta, levels), analytic_spectrum(model, p, theta))
 
 
+def _analytic_levels(formula: SpectrumFormula, levels: int) -> np.ndarray:
+    """Closed-form energies of all N^2 labels (m, n), ascending."""
+    m, n = np.divmod(np.arange(levels**2), levels)
+    return np.sort(formula.energy(m, n))
+
+
 def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> int:
     """Number of sorted levels that sit safely below the truncation edge.
 
@@ -60,12 +65,7 @@ def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> 
         return 0
     edge = min(formula.energy(0, cut + 1), formula.energy(cut + 1, 0))
     margin = 1e-9 * abs(edge)
-    return sum(
-        1
-        for m in range(levels)
-        for n in range(levels)
-        if formula.energy(m, n) < edge - margin
-    )
+    return int(np.count_nonzero(_analytic_levels(formula, levels) < edge - margin))
 
 
 def _median_gap(values: np.ndarray) -> float:
@@ -134,9 +134,7 @@ def diagonalize_compare(
         raise ValueError("empty trust region")
     evals = hermitian_eigvals(h)
     numeric = np.sort(evals)[:k]
-    analytic = np.sort(
-        [formula.energy(m, n) for m in range(levels) for n in range(levels)]
-    )[:k]
+    analytic = _analytic_levels(formula, levels)[:k]
     residual = float(np.max(np.abs(numeric - analytic)))
     return SpectrumReport(
         model=formula.model,
@@ -177,9 +175,7 @@ def convergence_study(
         if k0 > n**2:
             raise ValueError(f"k0={k0} exceeds the lattice size at N={n}")
         numeric = np.sort(hermitian_eigvals(h))[:k0]
-        analytic = np.sort(
-            [formula.energy(m, k) for m in range(n) for k in range(n)]
-        )[:k0]
+        analytic = _analytic_levels(formula, n)[:k0]
         out.append((n, float(np.max(np.abs(numeric - analytic)))))
     return out
 

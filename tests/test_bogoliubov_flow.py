@@ -136,9 +136,12 @@ class TestDilatation:
         d = dilatation(hs)
         assert np.array_equal(d.mat, d.mat.conj().T)
 
-    def test_two_forms_agree(self, hs):
-        diff = dilatation(hs) - dilatation_quadratic(hs)
-        assert block_norm(diff, hs.safe_indices) < 1e-12
+    def test_two_forms_agree(self):
+        for theta in (0.3, 1.0, 2.5):
+            for levels in (8, 12):
+                space = HSSpace(ModelConfig(theta=theta, truncation=levels))
+                diff = dilatation(space) - dilatation_quadratic(space)
+                assert block_norm(diff, space.safe_indices) < 1e-12
 
     def test_scaling_constant_calibration(self):
         assert dilatation_scaling_constant() == pytest.approx(-1.0, abs=1e-12)

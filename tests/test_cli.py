@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import pytest
 
 from moyal_lab.cli import algebra_residuals, fmt, main, parse_config_file
+from moyal_lab import moyal_rep
 from moyal_lab.moyal_rep import HSSpace, ModelConfig
+from moyal_lab.operator_core import Operator
 
 
 class TestConfigFile:
@@ -53,6 +57,24 @@ class TestConfigFile:
         assert payload["params"]["theta"] == 1.0  # flag wins
         assert payload["params"]["N"] == 10  # file value kept
 
+    def test_flag_replaces_file_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("mu = 0.5\nmu = 1.0\ntheta = 1\ntruncation = 8\n")
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--config", str(cfg), "--mu", "2", "--no-timestamp", "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["2"]
+
+    @pytest.mark.parametrize("line", ["truncaton = 64", "jobs = 2"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"model = h1\n{line}\n")
+        out = tmp_path / "never.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_algebra_default_passes(self, capsys):
@@ -73,6 +95,9 @@ class TestExitCodes:
 
     def test_truncation_below_minimum(self, capsys):
         assert main(["spectrum", "--truncation", "6"]) == 2
+
+    def test_jobs_flag_rejected(self, capsys):
+        assert main(["sweep", "--jobs", "2", "--truncation", "8"]) == 2
 
     def test_unknown_model_rejected_by_parser(self, capsys):
         assert main(["spectrum", "--model", "h9"]) == 2
@@ -168,6 +193,29 @@ class TestSpectrumCommand:
         for num, ana in zip(payload["numeric"], payload["analytic"]):
             assert num >= ana - 1e-12 * max(1.0, abs(ana))
 
+    def test_sector_commands_build_no_dense_operator(self, tmp_path, capsys, monkeypatch):
+        # spectrum and converge solve J3 sectors, so neither builds a dense
+        # Operator nor the dense representation.
+        built = []
+        operator_init, real_build_rep = Operator.__init__, moyal_rep.build_rep
+
+        def counting_init(self, mat):
+            built.append("Operator")
+            operator_init(self, mat)
+
+        def counting_build_rep(hs):
+            built.append("build_rep")
+            return real_build_rep(hs)
+
+        monkeypatch.setattr(Operator, "__init__", counting_init)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("moyal_lab") and hasattr(module, "build_rep"):
+                monkeypatch.setattr(module, "build_rep", counting_build_rep)
+        spectrum = ["spectrum", "--model", "h3", "--truncation", "256"]
+        assert main([*spectrum, "--out", str(tmp_path / "h3.json")]) == 0
+        assert main(["converge", "--model", "h2", "--out", str(tmp_path / "h2.csv")]) == 0
+        assert built == []
+
 
 class TestSweepCommand:
     def test_critical_point_row(self, tmp_path, capsys):
@@ -211,8 +259,8 @@ class TestSweepCommand:
         ]
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
-        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         body = out1.read_text().strip().splitlines()
         assert len(body) == 3  # header + 2 grid points
@@ -368,6 +416,24 @@ class TestInfeasibleInputs:
         assert rc in (0, 1)
         assert json.loads(out.read_text())["params"]["N"] == 403
         assert peak < 64 * 2**20
+
+    def test_oversized_ground_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # required_levels is 40,296 here: the closed-form state alone would
+        # take 24 GiB.  On a machine that reports 8 GiB the ground guard names
+        # N and exits before allocating.
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        out = tmp_path / "ground.json"
+        tracemalloc.start()
+        try:
+            rc = main(["ground", "--model", "h2", "--mu", "100", "--omega", "100", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "N=40296" in capsys.readouterr().err
+        assert peak < 64 * 2**20
+        assert not out.exists()
 
     def test_oversized_symmetry_exits_before_allocating(self, tmp_path, capsys):
         # The symmetry suite needs the dense representation: one operator

@@ -171,11 +171,15 @@ class TestHamiltonians:
         diff = h2(hs, p) - p.omega * h1(hs)
         assert block_norm(diff, hs.safe_indices) < 1e-12
 
-    def test_h3_equals_decomposition(self, hs):
-        p = OscParams(1.0, 1.0)
-        decomp = zeeman_decomposition(hs, p)
+    @settings(max_examples=40, deadline=None)
+    @given(positive, positive, positive)
+    def test_h3_equals_decomposition(self, mu, omega, theta):
+        space = HSSpace(ModelConfig(theta=theta, truncation=10))
+        p = OscParams(mu, omega)
+        decomp = zeeman_decomposition(space, p)
         recomposed = decomp.h2_part + decomp.zeeman_coeff * decomp.J3
-        assert block_norm(h3(hs, p) - recomposed, hs.safe_indices) < 1e-12
+        h = h3(space, p)
+        assert block_norm(h - recomposed, space.safe_indices) <= 5e-15 * max(1.0, h.norm())
 
     def test_zeeman_coefficient_value(self, hs):
         decomp = zeeman_decomposition(hs, OscParams(1.0, 1.0))
@@ -284,6 +288,13 @@ class TestSectorForm:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             sector_hamiltonian("h4", OscParams(1.0, 1.0), 1.0, 8)
+
+    @pytest.mark.parametrize(
+        "model, theta, levels", [("h1", 0.0, 8), ("h2", 1.0, 3), ("commutative", 1.0, 1)]
+    )
+    def test_invalid_space_rejected(self, model, theta, levels):
+        with pytest.raises(ValueError):
+            sector_hamiltonian(model, OscParams(1.0, 1.0), theta, levels)
 
 
 class TestAnalyticSpectrum:
