@@ -27,6 +27,7 @@ from .moyal_rep import (
     HSSpace,
     HSState,
     ModelConfig,
+    RepOperators,
     build_rep,
     check_memory,
     hs_norm,
@@ -77,9 +78,9 @@ def phi_for(p: OscParams, theta: float, model: str) -> float:
     raise ValueError(f"unknown model {model!r}")
 
 
-def bogoliubov_pair(hs: HSSpace, phi: float) -> tuple[Operator, Operator]:
-    """Hyperbolically mixed ladder operators (B_L', B_R')."""
-    rep = build_rep(hs)
+def bogoliubov_pair(hs: HSSpace, phi: float, rep: RepOperators | None = None) -> tuple[Operator, Operator]:
+    """Hyperbolically mixed ladder operators (B_L', B_R'); ``rep`` is that of ``hs``, if built."""
+    rep = rep if rep is not None else build_rep(hs)
     c, s = math.cosh(phi), math.sinh(phi)
     return (c * rep.B_L + s * rep.B_R, s * rep.B_L + c * rep.B_R)
 
@@ -114,8 +115,8 @@ def dilatation_scaling_constant() -> float:
     rep = build_rep(hs)
     d = dilatation(hs)
     ix = hs.safe_indices
-    lhs = restrict(commutator(d, rep.X1c), ix).ravel()
-    basis = restrict(rep.X1c, ix).ravel()
+    lhs = restrict(commutator(d, rep.X1c), ix).toarray().ravel()
+    basis = restrict(rep.X1c, ix).toarray().ravel()
     k = np.vdot(basis, lhs) / np.vdot(basis, basis)
     resid = np.linalg.norm(lhs - k * basis)
     if resid > 1e-10 * np.linalg.norm(lhs):
@@ -129,7 +130,7 @@ def dilatation_scaling_constant() -> float:
 def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     """Unitary implementing the phi-dilatation with the calibrated constant."""
     c = dilatation_scaling_constant()
-    return expm(Operator(-1j * c * phi * dilatation(hs).mat))
+    return expm((-1j * c * phi) * dilatation(hs))
 
 
 @dataclass(frozen=True)
@@ -233,9 +234,15 @@ def _ground_exponent_sign() -> float:
 
 
 def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
-    """Unitary flow applied to the vacuum dyad; must match the closed form."""
+    """Unitary flow applied to the vacuum dyad; must match the closed form.
+
+    An N-level chain reflects the flow at its top level (up to 1e-7 error),
+    so it runs on pad more levels, the fewest with |tanh phi|^pad <= 1e-17,
+    and is cut back to N: the exact compression of the infinite flow.
+    """
     _check_tail(hs, phi)
-    coeffs = _sector_flow(hs.levels, _ground_exponent_sign() * phi)
+    pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi)))) if phi else 0
+    coeffs = _sector_flow(hs.levels + pad, _ground_exponent_sign() * phi)[: hs.levels]
     state = state_from_matrix(hs, np.diag(coeffs))
     return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
 
@@ -272,7 +279,7 @@ class IntertwinerReport:
 def intertwiner_check(psi0: GroundState, lambda_plus: float, theta: float) -> IntertwinerReport:
     """Safe-block residuals of the relations tying psi0 to the bare ladder."""
     hs = psi0.psi0.space
-    b = annihilator(hs.fock()).mat
+    b = annihilator(hs.fock()).toarray()
     m = psi0.psi0.as_matrix()
     left = b @ m
     right = m @ b

@@ -5,8 +5,9 @@ Configuration comes from a flat ``key = value`` file (repeated keys build
 grid lists; unknown keys are rejected), and a command-line flag replaces
 every file value of its key.  Exit codes:
 0 success, 1 threshold failure, 2 invalid or infeasible input (such as a
-truncation whose dense operators would not fit in memory).  All floats are
-printed with 17 significant digits so reports serve as reproducible oracles.
+truncation whose representation would not fit in memory, or an unwritable
+``--out``).  All floats are printed with 17 significant digits so reports
+serve as reproducible oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import Operator, commutator, identity
+from .operator_core import identity
 from .moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
 from .oscillator_models import MODELS, OscParams, h2, renormalized_params
 from .bogoliubov_flow import (
@@ -184,50 +185,50 @@ def _csv_text(cfg: RunConfig, header: str, rows: list[str]) -> str:
     return "\n".join([*stamp, header, *rows])
 
 
-def algebra_residuals(hs: HSSpace) -> list[tuple[str, float]]:
-    """Safe-block residuals of the defining commutation relations."""
+def algebra_residuals(hs: HSSpace) -> list[tuple[str, float, float]]:
+    """Safe-block residuals of the defining commutation relations, as
+    (name, ||[A, B] - c||, that norm over ||AB|| + ||BA||), all norms taken
+    on the safe block.  Only the relative residual is free of the block's
+    size: rounding alone gives an absolute 2.4e-12 at N = 128."""
     rep = build_rep(hs)
     theta = hs.theta
-    eye = identity(hs.dim)
     ix = hs.safe_indices
-
-    def res(op: Operator) -> float:
-        return block_norm(op, ix)
-
-    pairs = [
-        ("[X1, X2] - i theta", commutator(rep.X1, rep.X2) - 1j * theta * eye),
-        ("[X1, P1] - i", commutator(rep.X1, rep.P1) - 1j * eye),
-        ("[X2, P2] - i", commutator(rep.X2, rep.P2) - 1j * eye),
-        ("[X1, P2]", commutator(rep.X1, rep.P2)),
-        ("[X2, P1]", commutator(rep.X2, rep.P1)),
-        ("[P1, P2]", commutator(rep.P1, rep.P2)),
-        ("[B_L, B_Ldag] - 1", commutator(rep.B_L, rep.B_Ldag) - eye),
-        ("[B_R, B_Rdag] + 1", commutator(rep.B_R, rep.B_Rdag) + eye),
-        ("[B_L, B_R]", commutator(rep.B_L, rep.B_R)),
-        ("[B_L, B_Rdag]", commutator(rep.B_L, rep.B_Rdag)),
-        ("[X1c, X2c]", commutator(rep.X1c, rep.X2c)),
-        ("[X1c, P1] - i", commutator(rep.X1c, rep.P1) - 1j * eye),
-        ("[X2c, P2] - i", commutator(rep.X2c, rep.P2) - 1j * eye),
+    relations = [
+        ("[X1, X2] - i theta", rep.X1, rep.X2, 1j * theta),
+        ("[X1, P1] - i", rep.X1, rep.P1, 1j),
+        ("[X2, P2] - i", rep.X2, rep.P2, 1j),
+        ("[X1, P2]", rep.X1, rep.P2, 0.0),
+        ("[X2, P1]", rep.X2, rep.P1, 0.0),
+        ("[P1, P2]", rep.P1, rep.P2, 0.0),
+        ("[B_L, B_Ldag] - 1", rep.B_L, rep.B_Ldag, 1.0),
+        ("[B_R, B_Rdag] + 1", rep.B_R, rep.B_Rdag, -1.0),
+        ("[B_L, B_R]", rep.B_L, rep.B_R, 0.0),
+        ("[B_L, B_Rdag]", rep.B_L, rep.B_Rdag, 0.0),
+        ("[X1c, X2c]", rep.X1c, rep.X2c, 0.0),
+        ("[X1c, P1] - i", rep.X1c, rep.P1, 1j),
+        ("[X2c, P2] - i", rep.X2c, rep.P2, 1j),
     ]
-    return [(name, res(op)) for name, op in pairs]
+    eye = identity(hs.dim)
+    rows = []
+    for name, a, b, c in relations:
+        ab, ba = a @ b, b @ a
+        resid = block_norm(ab - ba - c * eye, ix)
+        rows.append((name, resid, resid / (block_norm(ab, ix) + block_norm(ba, ix))))
+    return rows
 
 
-_ALGEBRA_TOL = 1e-12
+# Rounding gives relative residuals near 2e-16 at every N: a margin of 100.
+_ALGEBRA_RTOL = 1e-14
 
 
 def cmd_algebra(cfg: RunConfig) -> int:
     hs = HSSpace(ModelConfig(theta=cfg.theta, truncation=cfg.truncation))
-    rows = algebra_residuals(hs)
-    lines = []
-    ok = True
-    for name, resid in rows:
-        passed = resid <= _ALGEBRA_TOL
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {fmt(resid)}  {name}")
+    rows = [(*row, row[2] <= _ALGEBRA_RTOL) for row in algebra_residuals(hs)]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {fmt(resid)}  {name}" for name, resid, _, ok in rows]
     payload = {
         "relations": [
-            {"name": name, "residual": resid, "pass": resid <= _ALGEBRA_TOL}
-            for name, resid in rows
+            {"name": name, "residual": resid, "relative_residual": rel, "pass": ok}
+            for name, resid, rel, ok in rows
         ],
         "params": {"theta": cfg.theta, "N": cfg.truncation},
         **_stamp(cfg),
@@ -235,7 +236,7 @@ def cmd_algebra(cfg: RunConfig) -> int:
     if cfg.out:
         _emit(_json_text(payload), cfg.out)
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 def _spectrum_csv(report: SpectrumReport, cfg: RunConfig) -> str:
@@ -287,13 +288,12 @@ def _sweep_row(mu: float, omega: float, theta: float, levels: int) -> str:
     rp = renormalized_params(p, theta)
     hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
     rep = build_rep(hs)
-    gens = schwinger_noncommutative(hs)
-    suite = time_reversal_suite(rep, gens, p, hs)
+    suite = time_reversal_suite(rep, schwinger_noncommutative(hs, rep), p, hs)
     j1r, j2r, j3r = suite.su2_residuals
     # h2 is SU(2) symmetric in its own Bogoliubov frame, so its commutant
     # residual is measured against the primed-ladder generators.
     phi_h2 = phi_for(p, theta, "h2")
-    primed = schwinger_from_ladders(*bogoliubov_pair(hs, phi_h2), context="primed")
+    primed = schwinger_from_ladders(*bogoliubov_pair(hs, phi_h2, rep), context="primed")
     h2_res = max(su2_commutant(h2(hs, p), primed, hs))
     identity_val = (1.0 + theta * rp.lambda_plus) * (1.0 - theta * rp.lambda_minus)
     ground = (rp.lambda_plus + rp.lambda_minus) / (2.0 * mu)
@@ -340,8 +340,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_symmetry(cfg: RunConfig) -> int:
     hs = HSSpace(ModelConfig(theta=cfg.theta, truncation=cfg.truncation))
     rep = build_rep(hs)
-    gens = schwinger_noncommutative(hs)
-    suite = time_reversal_suite(rep, gens, OscParams(cfg.mu, cfg.omega), hs)
+    suite = time_reversal_suite(rep, schwinger_noncommutative(hs, rep), OscParams(cfg.mu, cfg.omega), hs)
     _emit(_json_text({**suite.to_json_dict(), **_stamp(cfg)}), cfg.out)
     sys.stdout.write(
         f"zeeman difference residual: {fmt(suite.zeeman_difference_residual)}\n"
@@ -441,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return func(cfg)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

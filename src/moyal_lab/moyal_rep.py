@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, identity, tensor
 
@@ -224,10 +225,11 @@ def build_rep(hs: HSSpace) -> RepOperators:
     B_L / B_R are the left and right actions of the lowering operator; the
     daggered versions are their Hilbert-Schmidt adjoints, which in this
     vectorization coincide with the matrix adjoints (asserted by tests).
-    Raises ValueError, before allocating, when the ten dense operators
-    would exceed the machine's physical memory.
+    Each has at most four non-zeros per row.  Raises ValueError, before
+    allocating, when the ten operators (24 bytes per stored entry: value
+    and column index) would exceed the machine's physical memory.
     """
-    check_memory(10 * 16 * hs.dim**2, f"dense representation at N={hs.levels}")
+    check_memory(10 * 4 * 24 * hs.dim, f"representation at N={hs.levels}")
     theta = hs.theta
     b = annihilator(hs.fock())
     b_l = left_action(b, hs)
@@ -281,11 +283,14 @@ def dimensionless(rep: RepOperators, theta: float) -> ScaledPhaseSpace:
     )
 
 
-def restrict(op: Operator, indices: np.ndarray) -> np.ndarray:
-    """Submatrix of op on the given basis indices."""
-    return op.mat[np.ix_(indices, indices)]
+def restrict(op: Operator, indices: np.ndarray) -> scipy.sparse.csr_array:
+    """Sparse submatrix of op on the given basis indices."""
+    return op.mat[indices][:, indices]
 
 
 def block_norm(op: Operator, indices: np.ndarray) -> float:
     """Frobenius norm of op restricted to the given basis indices."""
-    return float(np.linalg.norm(restrict(op, indices)))
+    inside = np.zeros(op.dim, dtype=bool)
+    inside[indices] = True
+    m = op.mat.tocoo()
+    return float(np.linalg.norm(m.data[inside[m.row] & inside[m.col]]))

@@ -1,10 +1,12 @@
-"""Dense complex operator algebra on truncated single-mode Fock spaces.
+"""Sparse complex operator algebra on truncated single-mode Fock spaces.
 
 Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
 ladder matrices, adjoints, commutators, Kronecker products, matrix
 exponentials (taken block by block on a generator's invariant blocks) and
-a Hermitian eigensolver with deterministic output.
+a Hermitian eigensolver with deterministic output.  Every ladder
+polynomial has a few non-zeros per row, so operators are held in
+compressed sparse row form; a dense array is made only on request.
 Hamiltonians with a conserved quantity are also held block by block as
 real symmetric tridiagonal blocks, which the same eigensolver accepts.
 """
@@ -51,27 +53,34 @@ class FockSpace:
 
 
 class Operator:
-    """Immutable dense complex square matrix acting on one fixed space.
-
-    Binary operations require equal dimensions and always return new
-    operators; the wrapped array is read-only, so values can be shared
-    freely across threads.
-    """
+    """Immutable complex square matrix on one fixed space: a canonical
+    ``csr_array`` with no stored zeros and read-only arrays (a writable
+    sparse input is adopted without a copy).  Binary operations require
+    equal dimensions and always return new operators."""
 
     __slots__ = ("_mat",)
 
     def __init__(self, mat) -> None:
-        m = np.array(mat, dtype=np.complex128)
+        m = scipy.sparse.csr_array(mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not m.data.flags.writeable:
+            m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        if not np.all(np.isfinite(m.data)):
             raise ValueError("operator entries must be finite")
-        m.setflags(write=False)
+        for part in (m.data, m.indices, m.indptr):
+            part.setflags(write=False)
         self._mat = m
 
     @property
-    def mat(self) -> np.ndarray:
+    def mat(self) -> scipy.sparse.csr_array:
         return self._mat
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a new dense array."""
+        return self._mat.toarray()
 
     @property
     def dim(self) -> int:
@@ -82,10 +91,10 @@ class Operator:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self._mat))
+        return float(np.linalg.norm(self._mat.data))
 
     def trace(self) -> complex:
-        return complex(np.trace(self._mat))
+        return complex(self._mat.trace())
 
     def _same_dim(self, other: "Operator") -> None:
         if self.dim != other.dim:
@@ -132,23 +141,24 @@ class TridiagonalBlocks:
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def to_operator(self) -> Operator:
-        """The same operator as a dense matrix."""
-        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        """The same operator, scattered into one sparse matrix."""
+        rows, cols, vals = [], [], []
         for index, diag, off in self.blocks:
-            mat[index, index] = diag
-            mat[index[:-1], index[1:]] = off
-            mat[index[1:], index[:-1]] = off
-        return Operator(mat)
+            rows += [index, index[:-1], index[1:]]
+            cols += [index, index[1:], index[:-1]]
+            vals += [diag, off, off]
+        coords = (np.concatenate(rows), np.concatenate(cols))
+        return Operator(scipy.sparse.coo_array((np.concatenate(vals), coords), shape=(self.dim, self.dim)))
 
 
 def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128))
+    return Operator(scipy.sparse.eye_array(dim))
 
 
 def annihilator(space: FockSpace) -> Operator:
     """Lowering operator with <m|b|n> = sqrt(n) for m = n-1."""
     n = space.levels
-    return Operator(np.diag(np.sqrt(np.arange(1, n, dtype=np.float64)), k=1))
+    return Operator(scipy.sparse.diags_array(np.sqrt(np.arange(1, n, dtype=np.float64)), offsets=1))
 
 
 def adjoint(a: Operator) -> Operator:
@@ -161,10 +171,10 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product; index convention (m, n) -> m * dim(b) + n."""
-    return Operator(np.kron(a.mat, b.mat))
+    return Operator(scipy.sparse.kron(a.mat, b.mat))
 
 
-def invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
+def invariant_blocks(m) -> list[np.ndarray]:
     """Basis index sets that m maps into themselves.
 
     They are the connected components of the non-zero pattern of m, so m
@@ -176,15 +186,21 @@ def invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _expm_hermitian(m: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor h) for Hermitian h = m, one invariant block at a time."""
-    out = np.zeros_like(m)
-    for index in invariant_blocks(m):
-        block = np.ix_(index, index)
-        h = m[block]
+def _expm_hermitian(m: scipy.sparse.csr_array, factor: complex) -> scipy.sparse.csr_array:
+    """exp(factor h) for Hermitian h = m, one dense invariant block at a time."""
+    blocks = invariant_blocks(m)
+    order = np.concatenate(blocks)
+    p = m[order][:, order].tocoo()  # block diagonal, rows in order
+    starts = np.cumsum([0] + [index.size for index in blocks])
+    exps = []
+    parts = np.split(np.arange(p.nnz), np.searchsorted(p.row, starts[1:-1]))
+    for lo, hi, part in zip(starts, starts[1:], parts):
+        h = np.zeros((hi - lo, hi - lo), dtype=np.complex128)
+        h[p.row[part] - lo, p.col[part] - lo] = p.data[part]
         w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-        out[block] = (v * np.exp(factor * w)) @ v.conj().T
-    return out
+        exps.append((v * np.exp(factor * w)) @ v.conj().T)
+    back = np.argsort(order)
+    return scipy.sparse.block_diag(exps, format="csr")[back][:, back]
 
 
 def expm(a: Operator) -> Operator:
@@ -193,18 +209,18 @@ def expm(a: Operator) -> Operator:
     Hermitian and anti-Hermitian inputs (every rotation and flow generator
     in this package) are diagonalized with eigh, one invariant block at a
     time: the su(2) generators keep m + n and the dilatation m - n, so no
-    block has more than N levels.  Other normal inputs go through a
-    unitary Schur decomposition; anything else falls back to scipy's
+    block has more than N levels.  Other normal inputs go through a dense
+    unitary Schur decomposition; anything else falls back to scipy's dense
     scaling-and-squaring.
     """
-    m = a.mat
-    scale = np.linalg.norm(m)
+    scale = a.norm()
     if scale == 0.0:
         return identity(a.dim)
-    if np.linalg.norm(m - m.conj().T) <= NORMALITY_RTOL * scale:
-        return Operator(_expm_hermitian(m, 1.0))
-    if np.linalg.norm(m + m.conj().T) <= NORMALITY_RTOL * scale:
-        return Operator(_expm_hermitian(m / 1j, 1j))
+    if (a - a.dag()).norm() <= NORMALITY_RTOL * scale:
+        return Operator(_expm_hermitian(a.mat, 1.0))
+    if (a + a.dag()).norm() <= NORMALITY_RTOL * scale:
+        return Operator(_expm_hermitian(a.mat / 1j, 1j))
+    m = a.toarray()
     defect = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
     if defect <= NORMALITY_RTOL * scale**2:
         t, q = scipy.linalg.schur(m, output="complex")
@@ -229,7 +245,7 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(h: Operator) -> np.ndarray:
-    m = h.mat
+    m = h.toarray()
     scale = np.linalg.norm(m)
     dev = np.linalg.norm(m - m.conj().T)
     if dev > HERMITICITY_RTOL * max(scale, 1.0):
@@ -250,7 +266,7 @@ def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_eigvals(h: Operator | TridiagonalBlocks) -> np.ndarray:
     """Ascending eigenvalues only.
 
-    Dense operators get the same validation as :func:`hermitian_eig`;
+    Operators get the same validation as :func:`hermitian_eig`;
     tridiagonal blocks are solved one block at a time (non-finite entries
     raise ValueError there too).
     """

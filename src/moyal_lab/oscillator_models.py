@@ -11,8 +11,8 @@ Four models:
 
 Every Hamiltonian is built from its ladder matrix elements, one J3 sector
 at a time (``sector_hamiltonian``); ``h1``, ``h2``, ``h3`` and
-``h_commutative`` scatter the sectors into a dense operator.  The tests
-compare the sectors against the phase-space quadratic forms, built densely
+``h_commutative`` scatter the sectors into a sparse operator.  The tests
+compare the sectors against the phase-space quadratic forms, built
 on a padded space, which catches convention errors.
 """
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
-from .moyal_rep import HSSpace, build_rep, restrict
+from .moyal_rep import HSSpace, RepOperators, build_rep, restrict
 
 __all__ = [
     "SU2Generators",
@@ -106,13 +105,13 @@ def schwinger_from_ladders(bl: Operator, br: Operator, context: str) -> SU2Gener
     )
 
 
-def schwinger_noncommutative(hs: HSSpace) -> SU2Generators:
+def schwinger_noncommutative(hs: HSSpace, rep: RepOperators | None = None) -> SU2Generators:
     """Generators on the vectorized Hilbert-Schmidt space.
 
     Obtained from the commutative ones by the substitution a1 -> B_L and
-    a2^dag -> B_R (the right action raises the ket-side label).
-    """
-    rep = build_rep(hs)
+    a2^dag -> B_R (the right action raises the ket-side label); ``rep`` is
+    the representation of ``hs``, if already built."""
+    rep = rep if rep is not None else build_rep(hs)
     return schwinger_from_ladders(rep.B_L, rep.B_R, "noncommutative")
 
 
@@ -161,34 +160,52 @@ def rotation_matrix(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     g4 = phase_space_generators()
     gen = sum(l * j.mat for l, j in zip(lam, g4.as_tuple()))
-    return expm(Operator(1j * gen)).mat.real.copy()
+    return expm(Operator(1j * gen)).toarray().real
 
 
 def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
     """Conjugate each operator: O -> exp(-i lam.J) O exp(+i lam.J).
 
     The generators keep m + n, so u is block diagonal on the spin-j
-    shells, and the phase-space operators step one level at a time.  Both
-    are held as sparse matrices for the two products, which then cost
-    O(N^3) instead of the dense O(N^6).
+    shells, and the phase-space operators step one level at a time; both
+    are sparse, so the two products cost O(N^4) instead of the dense O(N^6).
     """
     lam = np.asarray(lam, dtype=float)
     gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
-    u = scipy.sparse.csr_array(expm(Operator(-1j * gen)).mat)
-    ud = u.conj().T.tocsr()
-    return [Operator((u @ scipy.sparse.csr_array(op.mat) @ ud).toarray()) for op in ops]
+    u = expm(Operator(-1j * gen))
+    ud = u.dag()
+    return [u @ op @ ud for op in ops]
 
 
-def _span_fit_residual(target: Operator, basis: list[Operator], indices: np.ndarray):
-    """Least-squares expansion of target in span(basis) on a block.
+def _union_rows(mats: list) -> np.ndarray:
+    """Sparse matrices of one shape as dense rows over the union of their
+    non-zero patterns: entries outside it are zero in all of them, so norms
+    and least-squares fits of the rows are those of the whole matrices."""
+    coos = [m.tocoo() for m in mats]
+    keys = [c.row.astype(np.int64) * c.shape[1] + c.col for c in coos]
+    union = np.sort(np.concatenate(keys))
+    union = union[np.r_[True, union[1:] != union[:-1]]]  # np.unique, but faster here
+    rows = np.zeros((len(mats), union.size), dtype=np.complex128)
+    for row, key, c in zip(rows, keys, coos):
+        row[np.searchsorted(union, key)] = c.data
+    return rows
 
-    Returns (coefficients, residual norm of the unexplained part).
-    """
-    cols = np.column_stack([restrict(op, indices).ravel() for op in basis])
-    y = restrict(target, indices).ravel()
-    coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    resid = float(np.linalg.norm(y - cols @ coeffs))
-    return coeffs, resid
+
+def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> np.ndarray:
+    """Union rows of ops and then of their rotations on the complete shells
+    (m + n <= N-2), which every rotation keeps: restricting generators and
+    ops to them first gives the same conjugates there for half the work."""
+    ix = hs.complete_shell_indices
+    sub = SU2Generators(*(Operator(restrict(j, ix)) for j in gens.as_tuple()), context=gens.context)
+    ops = [Operator(restrict(op, ix)) for op in ops]
+    return _union_rows([op.mat for op in ops + conjugate_by_rotation(sub, ops, lam)])
+
+
+def _span_fit(targets: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of each target row in span(basis rows),
+    from the normal equations, and the norm of each y - c @ basis."""
+    coeffs, *_ = np.linalg.lstsq(basis.conj() @ basis.T, basis.conj() @ targets.T, rcond=None)
+    return coeffs.T, np.linalg.norm(targets - coeffs.T @ basis, axis=1)
 
 
 @dataclass(frozen=True)
@@ -208,19 +225,11 @@ def covariance_residual(gens: SU2Generators, basis_ops, lam, hs: HSSpace) -> Cov
     basis_ops = list(basis_ops)
     if len(basis_ops) != 4:
         raise ValueError("need exactly four phase-space operators")
-    ix = hs.complete_shell_indices
-    rot = rotation_matrix(lam)
-    conj = conjugate_by_rotation(gens, basis_ops, lam)
-    rot_res = 0.0
-    span_res = 0.0
-    for a in range(4):
-        target = conj[a]
-        predicted = sum((rot[a, b] * basis_ops[b].mat for b in range(4)), start=np.zeros_like(target.mat))
-        diff = restrict(target - Operator(predicted), ix)
-        rot_res = max(rot_res, float(np.linalg.norm(diff)))
-        _, resid = _span_fit_residual(target, basis_ops, ix)
-        span_res = max(span_res, resid)
-    return CovarianceCheck(rotation_residual=rot_res, span_residual=span_res)
+    rows = _shell_rows(gens, basis_ops, lam, hs)
+    basis, targets = rows[:4], rows[4:]
+    rot_res = np.linalg.norm(targets - rotation_matrix(lam) @ basis, axis=1)
+    _, span_res = _span_fit(targets, basis)
+    return CovarianceCheck(rotation_residual=float(rot_res.max()), span_residual=float(span_res.max()))
 
 
 def position_noncovariance(gens: SU2Generators, x1: Operator, x2: Operator, lam, hs: HSSpace) -> float:
@@ -229,26 +238,20 @@ def position_noncovariance(gens: SU2Generators, x1: Operator, x2: Operator, lam,
     Near zero for pure-J3 rotations; strictly positive for generic
     rotations with a J1 or J2 component.
     """
-    ix = hs.complete_shell_indices
-    conj = conjugate_by_rotation(gens, [x1, x2], lam)
-    worst = 0.0
-    for target in conj:
-        _, resid = _span_fit_residual(target, [x1, x2], ix)
-        worst = max(worst, resid)
-    return worst
+    rows = _shell_rows(gens, [x1, x2], lam, hs)
+    _, resid = _span_fit(rows[2:], rows[:2])
+    return float(resid.max())
 
 
 def adjoint_rep_matrix(j_op: Operator, ops, indices: np.ndarray) -> np.ndarray:
     """4x4 matrix M with [O_a, J] = sum_b M[a, b] O_b, fitted on a block."""
     ops = list(ops)
-    out = np.zeros((len(ops), len(ops)), dtype=complex)
-    for a, op in enumerate(ops):
-        coeffs, resid = _span_fit_residual(commutator(op, j_op), ops, indices)
-        scale = max(np.linalg.norm(restrict(op, indices)), 1.0)
-        if resid > 1e-10 * scale:
-            raise ValueError(f"commutator does not close on the given span (residual {resid:.3e})")
-        out[a] = coeffs
-    return out
+    rows = _union_rows([restrict(op, indices) for op in ops + [commutator(op, j_op) for op in ops]])
+    coeffs, resid = _span_fit(rows[len(ops):], rows[: len(ops)])
+    scale = np.maximum(np.linalg.norm(rows[: len(ops)], axis=1), 1.0)
+    if np.any(resid > 1e-10 * scale):
+        raise ValueError(f"commutator does not close on the given span (residual {resid.max():.3e})")
+    return coeffs
 
 
 def commutative_phase_space(levels: int) -> tuple[Operator, Operator, Operator, Operator]:

@@ -89,7 +89,7 @@ def test_criterion_1_algebra_suite():
     worst = 0.0
     for theta in (0.5, 1.0, 2.0):
         hs = HSSpace(ModelConfig(theta=theta, truncation=16))
-        worst = max(worst, max(r for _, r in algebra_residuals(hs)))
+        worst = max(worst, max(r for _, r, _ in algebra_residuals(hs)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     assert _report(
@@ -125,8 +125,8 @@ def test_criterion_2_su2_closure_and_labels():
         k = hs.index(lbl.m, lbl.n)
         if k not in safe_set:
             continue
-        j3_col = gens_nc.J3.mat[safe][:, k]
-        c2_col = c2.mat[safe][:, k]
+        j3_col = gens_nc.J3.toarray()[safe][:, k]
+        c2_col = c2.toarray()[safe][:, k]
         psi = basis_state(hs, lbl.m, lbl.n).vec[safe]
         label_err = max(label_err, float(np.max(np.abs(j3_col - lbl.j3 * psi))))
         label_err = max(
@@ -134,7 +134,7 @@ def test_criterion_2_su2_closure_and_labels():
         )
 
     g4 = phase_space_generators()
-    casimir_exact = np.array_equal(casimir(g4).mat, 0.75 * np.eye(4, dtype=complex))
+    casimir_exact = np.array_equal(casimir(g4).toarray(), 0.75 * np.eye(4, dtype=complex))
 
     # "Exactly" for the lattice labels means at the few-ulp level: the J3
     # diagonal is assembled from sqrt(m)**2 terms, which round.
@@ -344,12 +344,14 @@ def test_criterion_7_ground_state_equivalence():
     h3_signs, h3_ok = _flow_signs(unitary)
 
     # Alternation is real for h2 above the critical point (mu omega theta > 2,
-    # phi > 0).  Closed and flow forms differ by ~7e-9 at this N, so only the
-    # signs are asserted here.
+    # phi > 0).  The padded flow matches the closed form here too (the
+    # unpadded N-level chain missed it by 7e-9 at this N).
     phi_h2 = phi_for(OscParams(2.0, 2.0), 1.0, "h2")
     hs_h2 = HSSpace(ModelConfig(theta=1.0, truncation=16))
-    h2_signs, h2_ok = _flow_signs(ground_state_unitary(hs_h2, phi_h2))
-    h2_ok = h2_ok and phi_h2 > 0.0
+    flow_h2 = ground_state_unitary(hs_h2, phi_h2)
+    h2_diff = float(np.linalg.norm(ground_state_closed(hs_h2, phi_h2).psi0.vec - flow_h2.psi0.vec))
+    h2_signs, h2_ok = _flow_signs(flow_h2)
+    h2_ok = h2_ok and phi_h2 > 0.0 and h2_diff <= 1e-10
 
     ok = (
         diff <= 1e-10
@@ -366,7 +368,7 @@ def test_criterion_7_ground_state_equivalence():
         ok,
         f"diff {diff:.2e}, B_L' {annihilation:.2e}, intertwiner {inter:.2e}, "
         f"norm err {norm_err:.2e}, h3 signs {h3_signs} {h3_ok}, "
-        f"h2 (2,2,1) signs {h2_signs} {h2_ok}",
+        f"h2 (2,2,1) diff {h2_diff:.2e}, signs {h2_signs} {h2_ok}",
     )
 
 

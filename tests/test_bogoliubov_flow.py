@@ -26,6 +26,7 @@ from moyal_lab.oscillator_models import (
     renormalized_params,
 )
 from moyal_lab.bogoliubov_flow import (
+    _sector_flow,
     bogoliubov_frame,
     bogoliubov_pair,
     c_operators,
@@ -106,8 +107,8 @@ class TestBogoliubovPair:
     def test_zero_angle_is_identity_map(self, hs):
         rep = build_rep(hs)
         bl, br = bogoliubov_pair(hs, 0.0)
-        assert np.allclose(bl.mat, rep.B_L.mat)
-        assert np.allclose(br.mat, rep.B_R.mat)
+        assert np.allclose(bl.toarray(), rep.B_L.toarray())
+        assert np.allclose(br.toarray(), rep.B_R.toarray())
 
     def test_diagonalizes_h2(self, hs):
         """In the primed ladder basis h2 is omega (B_L'^dag B_L' + B_R' B_R'^dag + 1)."""
@@ -134,7 +135,7 @@ class TestBogoliubovPair:
 class TestDilatation:
     def test_hermitian_exactly(self, hs):
         d = dilatation(hs)
-        assert np.array_equal(d.mat, d.mat.conj().T)
+        assert np.array_equal(d.toarray(), d.toarray().conj().T)
 
     def test_two_forms_agree(self):
         for theta in (0.3, 1.0, 2.5):
@@ -159,12 +160,12 @@ class TestDilatation:
         ix = space.shell_indices(6)
         conj = u @ rep.X1c @ u.dag()
         target = math.exp(phi) * rep.X1c
-        diff = restrict(conj - target, ix)
+        diff = restrict(conj - target, ix).toarray()
         assert np.linalg.norm(diff) < 1e-8
 
     def test_unitary_is_unitary(self, hs):
         u = dilatation_unitary(hs, 0.7)
-        assert np.allclose((u @ u.dag()).mat, np.eye(hs.dim), atol=1e-11)
+        assert np.allclose((u @ u.dag()).toarray(), np.eye(hs.dim), atol=1e-11)
 
     def test_generator_splits_into_j3_sectors(self):
         """The dilatation keeps m - n: its invariant blocks are the 2N - 1
@@ -181,7 +182,7 @@ class TestDilatation:
         assert frame.phi == 0.25
         assert frame.scaling_constant == pytest.approx(-1.0)
         bl, _ = bogoliubov_pair(hs, 0.25)
-        assert np.allclose(frame.B_L_prime.mat, bl.mat)
+        assert np.allclose(frame.B_L_prime.toarray(), bl.toarray())
 
     def test_unitary_implements_pair(self):
         """U B_L U^dag equals the hyperbolic mixture on a deep shell."""
@@ -192,7 +193,7 @@ class TestDilatation:
         conj = u @ rep.B_L @ u.dag()
         bl_p, _ = bogoliubov_pair(space, phi)
         ix = space.shell_indices(6)
-        diff = restrict(conj - bl_p, ix)
+        diff = restrict(conj - bl_p, ix).toarray()
         assert np.linalg.norm(diff) < 1e-8
 
 
@@ -244,17 +245,34 @@ class TestGroundState:
         st.sampled_from([-1.0, 1.0]),
     )
     def test_sector_flow_matches_dense(self, levels, fraction, sign):
-        """The m = n sector flow against expm_multiply of the dense N^2 x N^2
-        generator, for either sign of phi up to the tail-bound limit at N."""
+        """The N-level m = n sector flow against expm_multiply of the dense
+        N^2 x N^2 generator, for either sign of phi up to the tail-bound
+        limit at N."""
         hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
         phi = sign * fraction * math.atanh(1e-14 ** (1.0 / (2 * levels)))
         rep = build_rep(hs)
-        k = (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag).mat
+        k = (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag).toarray()
         # K |0><0| = |1><1|, and the closed form's |1><1| coefficient is
         # -tanh(phi) sech(phi) ~ -phi, so the flow runs along -phi K.
         dense = scipy.sparse.linalg.expm_multiply(-phi * k, basis_state(hs, 0, 0).vec)
-        got = ground_state_unitary(hs, phi).psi0.vec
+        got = np.diag(_sector_flow(levels, -phi)).ravel()
         assert np.max(np.abs(got - dense)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        ("model", "mu", "omega", "levels", "edge"),
+        [("h2", 2.0, 2.0, 15, 2.2e-8), ("h3", 1.0, 1.0, 17, 2.9e-8)],
+    )
+    def test_padding_removes_edge_error(self, model, mu, omega, levels, edge):
+        """On N levels the chain's top level reflects the flow, so it misses
+        the closed form by `edge` at these points, above the CLI's 1e-10
+        gate; the padded flow of ground_state_unitary agrees to rounding."""
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        phi = phi_for(OscParams(mu, omega), 1.0, model)
+        assert required_levels(phi) == levels
+        closed = ground_state_closed(hs, phi).psi0.vec
+        unpadded = np.diag(_sector_flow(levels, -phi)).ravel()
+        assert np.linalg.norm(unpadded - closed) == pytest.approx(edge, rel=0.05)
+        assert np.linalg.norm(ground_state_unitary(hs, phi).psi0.vec - closed) < 1e-15
 
     def test_annihilated_by_primed_lowering(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))

@@ -92,7 +92,7 @@ class TestActions:
         a = Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         psi = state_from_matrix(hs, rng.normal(size=(n, n)))
         out = apply_op(left_action(a, hs), psi)
-        assert np.allclose(out.as_matrix(), a.mat @ psi.as_matrix())
+        assert np.allclose(out.as_matrix(), a.toarray() @ psi.as_matrix())
 
     def test_right_action_is_right_multiplication(self, hs):
         rng = np.random.default_rng(1)
@@ -100,7 +100,7 @@ class TestActions:
         a = Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         psi = state_from_matrix(hs, rng.normal(size=(n, n)))
         out = apply_op(right_action(a, hs), psi)
-        assert np.allclose(out.as_matrix(), psi.as_matrix() @ a.mat)
+        assert np.allclose(out.as_matrix(), psi.as_matrix() @ a.toarray())
 
     def test_left_right_commute(self, hs):
         rng = np.random.default_rng(2)
@@ -109,7 +109,7 @@ class TestActions:
         b = Operator(rng.normal(size=(n, n)))
         lr = left_action(a, hs) @ right_action(b, hs)
         rl = right_action(b, hs) @ left_action(a, hs)
-        assert np.allclose(lr.mat, rl.mat)
+        assert np.allclose(lr.toarray(), rl.toarray())
 
     def test_right_action_antihomomorphism(self, hs):
         rng = np.random.default_rng(3)
@@ -117,7 +117,7 @@ class TestActions:
         a = Operator(rng.normal(size=(n, n)))
         b = Operator(rng.normal(size=(n, n)))
         composed = right_action(a, hs) @ right_action(b, hs)
-        assert np.allclose(composed.mat, right_action(b @ a, hs).mat)
+        assert np.allclose(composed.toarray(), right_action(b @ a, hs).toarray())
 
 
 class TestInnerProduct:
@@ -208,36 +208,36 @@ class TestAlgebra:
         s = np.sqrt(hs.theta / 2.0)
         x1r = s * (br + brd)
         x2r = 1j * s * (brd - br)
-        assert np.allclose(rep.X1c.mat, 0.5 * (rep.X1 + x1r).mat, atol=1e-13)
-        assert np.allclose(rep.X2c.mat, 0.5 * (rep.X2 + x2r).mat, atol=1e-13)
+        assert np.allclose(rep.X1c.toarray(), 0.5 * (rep.X1 + x1r).toarray(), atol=1e-13)
+        assert np.allclose(rep.X2c.toarray(), 0.5 * (rep.X2 + x2r).toarray(), atol=1e-13)
 
     def test_hermiticity_of_observables(self, hs, rep):
         for op in (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2):
-            assert np.allclose(op.mat, op.mat.conj().T)
+            assert np.allclose(op.toarray(), op.toarray().conj().T)
 
 
 def test_build_rep_refuses_oversized_space(monkeypatch):
-    # Ten dense operators at N = 51 take about 1.01 GiB: on a machine that
-    # reports 1 GiB of memory the guard names N and raises before
-    # allocating anything.
+    # The ten sparse operators at N = 1100 are estimated at 960 N^2 bytes,
+    # about 1.08 GiB: on a machine that reports 1 GiB of memory the guard
+    # names N and raises before allocating anything.
     pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    with pytest.raises(ValueError, match="N=51"):
-        build_rep(HSSpace(ModelConfig(theta=1.0, truncation=51)))
+    with pytest.raises(ValueError, match="N=1100"):
+        build_rep(HSSpace(ModelConfig(theta=1.0, truncation=1100)))
 
 
 class TestDimensionless:
     def test_scaling(self, rep):
         sp = dimensionless(rep, 1.0)
-        assert np.allclose(sp.x1c.mat, rep.X1c.mat)
-        assert np.allclose(sp.p1.mat, rep.P1.mat)
-        assert np.allclose(sp.p1_half.mat, 0.5 * rep.P1.mat)
+        assert np.allclose(sp.x1c.toarray(), rep.X1c.toarray())
+        assert np.allclose(sp.p1.toarray(), rep.P1.toarray())
+        assert np.allclose(sp.p1_half.toarray(), 0.5 * rep.P1.toarray())
 
     def test_four_tuple_order(self, rep):
         sp = dimensionless(rep, 2.0)
         t = sp.four_tuple()
-        assert np.allclose(t[0].mat, sp.x1c.mat)
-        assert np.allclose(t[3].mat, sp.p2_half.mat)
+        assert np.allclose(t[0].toarray(), sp.x1c.toarray())
+        assert np.allclose(t[3].toarray(), sp.p2_half.toarray())
 
 
 class TestRestrict:
@@ -246,7 +246,7 @@ class TestRestrict:
         m = rng.normal(size=(hs.dim, hs.dim))
         op = Operator(m)
         ix = np.array([0, 3, 5])
-        assert np.allclose(restrict(op, ix), m[np.ix_(ix, ix)])
+        assert np.allclose(restrict(op, ix).toarray(), m[np.ix_(ix, ix)])
         assert block_norm(op, ix) == pytest.approx(np.linalg.norm(m[np.ix_(ix, ix)]))
 
 
@@ -261,4 +261,4 @@ def test_action_factorization_property(seed):
     b = Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     psi = state_from_matrix(hs=space, mat=rng.normal(size=(n, n)))
     out = apply_op(left_action(a, space) @ right_action(b, space), psi)
-    assert np.allclose(out.as_matrix(), a.mat @ psi.as_matrix() @ b.mat, atol=1e-12)
+    assert np.allclose(out.as_matrix(), a.toarray() @ psi.as_matrix() @ b.toarray(), atol=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,15 +45,26 @@ class TestOperator:
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
 
+    def test_stored_zeros_dropped(self):
+        # The pattern is the non-zero pattern: a stored zero linking the two
+        # levels would otherwise merge expm's two 1 x 1 blocks.
+        m = scipy.sparse.csr_array(
+            (np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        op = Operator(m)
+        assert op.mat.nnz == 2
+        assert np.allclose(expm(1j * op).toarray(), np.diag(np.exp([2j, 3j])))
+        assert np.array_equal(Operator(op.mat).toarray(), op.toarray())
+
     def test_arithmetic(self):
         a = Operator(np.array([[1, 2], [3, 4]], dtype=complex))
         b = identity(2)
-        assert np.allclose((a + b).mat, a.mat + np.eye(2))
-        assert np.allclose((a - b).mat, a.mat - np.eye(2))
-        assert np.allclose((2.0 * a).mat, 2 * a.mat)
-        assert np.allclose((a / 2.0).mat, a.mat / 2)
-        assert np.allclose((a @ b).mat, a.mat)
-        assert np.allclose((-a).mat, -a.mat)
+        assert np.allclose((a + b).toarray(), a.toarray() + np.eye(2))
+        assert np.allclose((a - b).toarray(), a.toarray() - np.eye(2))
+        assert np.allclose((2.0 * a).toarray(), 2 * a.toarray())
+        assert np.allclose((a / 2.0).toarray(), a.toarray() / 2)
+        assert np.allclose((a @ b).toarray(), a.toarray())
+        assert np.allclose((-a).toarray(), -a.toarray())
 
     def test_matmul_dimension_check(self):
         with pytest.raises(ValueError):
@@ -62,7 +74,7 @@ class TestOperator:
         a = Operator(np.array([[1, 1j], [0, 2]], dtype=complex))
         assert a.trace() == pytest.approx(3)
         assert a.norm() == pytest.approx(np.sqrt(6))
-        assert np.allclose(a.dag().mat, a.mat.conj().T)
+        assert np.allclose(a.dag().toarray(), a.toarray().conj().T)
 
 
 class TestAnnihilator:
@@ -71,20 +83,20 @@ class TestAnnihilator:
         expected = np.zeros((4, 4))
         for n in range(1, 4):
             expected[n - 1, n] = np.sqrt(n)
-        assert np.allclose(b.mat, expected)
+        assert np.allclose(b.toarray(), expected)
 
     def test_number_operator_diagonal(self):
         b = annihilator(FockSpace(6))
         num = adjoint(b) @ b
-        assert np.allclose(num.mat, np.diag(np.arange(6.0)))
+        assert np.allclose(num.toarray(), np.diag(np.arange(6.0)))
 
     def test_ccr_on_safe_block(self):
         n = 7
         b = annihilator(FockSpace(n))
         defect = commutator(b, adjoint(b)) - identity(n)
         # Exact except the bottom-right corner element -(N-1) - 1 = -N.
-        assert np.allclose(defect.mat[: n - 1, : n - 1], 0.0, atol=1e-14)
-        assert defect.mat[n - 1, n - 1] == pytest.approx(-n)
+        assert np.allclose(defect.toarray()[: n - 1, : n - 1], 0.0, atol=1e-14)
+        assert defect.toarray()[n - 1, n - 1] == pytest.approx(-n)
 
 
 class TestTensor:
@@ -92,7 +104,7 @@ class TestTensor:
         a = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
         t = tensor(a, identity(3))
         assert t.dim == 6
-        assert np.allclose(t.mat, np.kron(a.mat, np.eye(3)))
+        assert np.allclose(t.toarray(), np.kron(a.toarray(), np.eye(3)))
 
     def test_mixed_product(self):
         rng = np.random.default_rng(7)
@@ -100,28 +112,28 @@ class TestTensor:
         b = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         lhs = tensor(a, b) @ tensor(a, b)
         rhs = tensor(a @ a, b @ b)
-        assert np.allclose(lhs.mat, rhs.mat)
+        assert np.allclose(lhs.toarray(), rhs.toarray())
 
 
 class TestExpm:
     def test_zero_gives_identity(self):
-        assert np.allclose(expm(Operator(np.zeros((4, 4)))).mat, np.eye(4))
+        assert np.allclose(expm(Operator(np.zeros((4, 4)))).toarray(), np.eye(4))
 
     def test_diagonal_oracle(self):
         d = Operator(np.diag([1.0, -2.0, 0.5]).astype(complex))
-        assert np.allclose(expm(d).mat, np.diag(np.exp([1.0, -2.0, 0.5])))
+        assert np.allclose(expm(d).toarray(), np.diag(np.exp([1.0, -2.0, 0.5])))
 
     def test_antihermitian_gives_unitary(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = h + h.conj().T
         u = expm(Operator(1j * h))
-        assert np.allclose((u @ u.dag()).mat, np.eye(5), atol=1e-12)
+        assert np.allclose((u @ u.dag()).toarray(), np.eye(5), atol=1e-12)
 
     def test_non_normal_falls_back(self):
         # Nilpotent upper triangular matrix: exp is I + M exactly.
         m = np.array([[0, 3.0], [0, 0]], dtype=complex)
-        assert np.allclose(expm(Operator(m)).mat, np.eye(2) + m)
+        assert np.allclose(expm(Operator(m)).toarray(), np.eye(2) + m)
 
     def test_matches_series_oracle(self):
         rng = np.random.default_rng(3)
@@ -131,7 +143,7 @@ class TestExpm:
         for k in range(1, 30):
             term = term @ m / k
             series = series + term
-        assert np.allclose(expm(Operator(m)).mat, series, atol=1e-13)
+        assert np.allclose(expm(Operator(m)).toarray(), series, atol=1e-13)
 
 
 def _planted_blocks(rng, sizes):
@@ -157,7 +169,7 @@ class TestBlockExpm:
         assert [b.tolist() for b in invariant_blocks(m)] == blocks
         for gen in (m, 1j * m):
             exact = scipy.linalg.expm(gen)
-            assert np.max(np.abs(expm(Operator(gen)).mat - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
+            assert np.max(np.abs(expm(Operator(gen)).toarray() - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_dense_block(self, seed):
@@ -167,7 +179,7 @@ class TestBlockExpm:
         assert len(invariant_blocks(m)) == 1
         for gen in (m, 1j * m):
             exact = scipy.linalg.expm(gen)
-            assert np.max(np.abs(expm(Operator(gen)).mat - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
+            assert np.max(np.abs(expm(Operator(gen)).toarray() - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
 
     def test_zero_rows_are_singleton_blocks(self):
         m = np.zeros((4, 4), dtype=complex)
@@ -226,7 +238,7 @@ class TestTridiagonalBlocks:
         w, g = hermitian_ground(h)
         assert np.allclose(w, vals, atol=1e-13)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-13)
-        assert np.allclose(dense.mat @ g, vals[0] * g, atol=1e-12)
+        assert np.allclose(dense.toarray() @ g, vals[0] * g, atol=1e-12)
 
     def test_rejects_non_finite(self):
         h = TridiagonalBlocks(2, ((np.array([0, 1]), np.array([1.0, np.inf]), np.array([0.5])),))
@@ -240,7 +252,7 @@ def test_adjoint_is_involution(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     op = Operator(m)
-    assert np.array_equal(adjoint(adjoint(op)).mat, op.mat)
+    assert np.array_equal(adjoint(adjoint(op)).toarray(), op.toarray())
 
 
 @settings(max_examples=25, deadline=None)
@@ -249,7 +261,7 @@ def test_commutator_antisymmetry(seed):
     rng = np.random.default_rng(seed)
     a = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     b = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert np.allclose(commutator(a, b).mat, -commutator(b, a).mat)
+    assert np.allclose(commutator(a, b).toarray(), -commutator(b, a).toarray())
 
 
 @settings(max_examples=15, deadline=None)
@@ -258,4 +270,4 @@ def test_expm_inverse_property(seed):
     rng = np.random.default_rng(seed)
     m = 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     prod = expm(Operator(m)) @ expm(Operator(-m))
-    assert np.allclose(prod.mat, np.eye(4), atol=1e-11)
+    assert np.allclose(prod.toarray(), np.eye(4), atol=1e-11)

@@ -137,14 +137,14 @@ class TestParamIdentities:
 class TestCommutativeModel:
     def test_spectrum_is_harmonic(self):
         h = h_commutative(8, OscParams(1.0, 1.5))
-        evals = np.linalg.eigvalsh(h.mat)
+        evals = np.linalg.eigvalsh(h.toarray())
         # Lowest levels 1.5 * (m + n + 1), degeneracy m + n + 1.
         expected = sorted(1.5 * (m + n + 1) for m in range(8) for n in range(8))
         assert np.allclose(np.sort(evals)[:10], expected[:10], atol=1e-12)
 
     def test_ground_is_vacuum(self):
         h = h_commutative(6, OscParams(1.0, 1.0))
-        evals, evecs = np.linalg.eigh(h.mat)
+        evals, evecs = np.linalg.eigh(h.toarray())
         ground = np.abs(evecs[:, 0])
         assert ground[0] == pytest.approx(1.0)
         assert np.linalg.norm(ground[1:]) < 1e-12
@@ -154,15 +154,15 @@ class TestHamiltonians:
     def test_h1_ladder_diagonal(self, hs):
         h = h1(hs)
         # Diagonal entries m + n + 1 on the lattice.
-        diag = np.real(np.diagonal(h.mat))
+        diag = np.real(np.diagonal(h.toarray()))
         for k in hs.safe_indices:
             m, n = hs.label(int(k))
             assert diag[k] == pytest.approx(m + n + 1, abs=1e-13)
 
     def test_h2_hermitian_and_psd(self, hs):
         h = h2(hs, OscParams(1.0, 1.0))
-        assert np.allclose(h.mat, h.mat.conj().T, atol=1e-13)
-        evals = np.linalg.eigvalsh(h.mat)
+        assert np.allclose(h.toarray(), h.toarray().conj().T, atol=1e-13)
+        evals = np.linalg.eigvalsh(h.toarray())
         assert evals[0] > 0.0
 
     def test_h2_at_critical_point_is_scaled_h1(self, hs):
@@ -188,7 +188,7 @@ class TestHamiltonians:
     def test_zeeman_j3_matches_generators(self, hs):
         decomp = zeeman_decomposition(hs, OscParams(1.0, 1.0))
         j3 = schwinger_noncommutative(hs).J3
-        assert np.allclose(decomp.J3.mat, j3.mat)
+        assert np.allclose(decomp.J3.toarray(), j3.toarray())
 
     def test_h1_commutes_with_su2(self, hs):
         # Quadratic-times-quadratic products are exact on the depth-2 block.
@@ -257,7 +257,7 @@ def padded_oracle(model: str, p: OscParams, theta: float, levels: int) -> np.nda
             x2 = rep.X1 @ rep.X1 + rep.X2 @ rep.X2
             full = p2 / (2.0 * p.mu) + 0.5 * p.mu * p.omega**2 * x2
     idx = np.array([m * big + n for m in range(levels) for n in range(levels)])
-    return full.mat[np.ix_(idx, idx)]
+    return full.toarray()[np.ix_(idx, idx)]
 
 
 class TestSectorForm:
@@ -270,7 +270,7 @@ class TestSectorForm:
         h = sector_hamiltonian(model, p, theta, levels)
         assert h.dim == levels**2
         assert len(h.blocks) == 2 * levels - 1
-        dense = h.to_operator().mat
+        dense = h.to_operator().toarray()
         oracle = padded_oracle(model, p, theta, levels)
         scale = max(1.0, float(np.linalg.norm(oracle)))
         assert np.linalg.norm(dense - oracle) <= 1e-12 * scale

@@ -63,11 +63,11 @@ class TestClosure:
 
     def test_phase4d_exact(self):
         gens = phase_space_generators()
-        assert closure_defect(gens, lambda op: np.linalg.norm(op.mat)) == 0.0
+        assert closure_defect(gens, lambda op: np.linalg.norm(op.toarray())) == 0.0
 
     def test_generators_hermitian(self, gens_nc):
         for j in gens_nc.as_tuple():
-            assert np.allclose(j.mat, j.mat.conj().T, atol=1e-14)
+            assert np.allclose(j.toarray(), j.toarray().conj().T, atol=1e-14)
 
 
 class TestLabels:
@@ -85,7 +85,7 @@ class TestLabels:
         # Exact up to sqrt(m)**2 != m rounding (a few ulps of the label).
         for lbl in jj3_labels(hs.levels):
             k = hs.index(lbl.m, lbl.n)
-            col = gens_nc.J3.mat[:, k]
+            col = gens_nc.J3.toarray()[:, k]
             expected = np.zeros(hs.dim)
             expected[k] = lbl.j3
             assert np.allclose(col, expected, atol=1e-13)
@@ -97,14 +97,14 @@ class TestLabels:
             k = hs.index(lbl.m, lbl.n)
             if k not in safe:
                 continue
-            col = c2.mat[np.ix_(list(safe), [k])].ravel()
+            col = c2.toarray()[np.ix_(list(safe), [k])].ravel()
             psi = basis_state(hs, lbl.m, lbl.n).vec[list(safe)]
             assert np.allclose(col, lbl.j * (lbl.j + 1) * psi, atol=1e-12)
 
     def test_jplus_raises_m_lowers_n(self, hs, gens_nc):
         # J+ |m><n| ~ |m+1><n-1| : raises j3 by one, keeps j.
         k = hs.index(2, 3)
-        out = gens_nc.plus().mat[:, k]
+        out = gens_nc.plus().toarray()[:, k]
         nz = np.nonzero(np.abs(out) > 1e-12)[0]
         assert list(nz) == [hs.index(3, 2)]
         assert out[hs.index(3, 2)] == pytest.approx(np.sqrt(3) * np.sqrt(3))
@@ -117,7 +117,7 @@ class TestCasimir:
 
     def test_phase4d_casimir_exact(self):
         gens = phase_space_generators()
-        assert np.array_equal(casimir(gens).mat, 0.75 * np.eye(4, dtype=complex))
+        assert np.array_equal(casimir(gens).toarray(), 0.75 * np.eye(4, dtype=complex))
 
     def test_casimir_commutes_with_generators(self, hs, gens_nc):
         c2 = casimir(gens_nc)
@@ -150,8 +150,8 @@ class TestRotations:
         for a in range(4):
             conj = conjugate_by_rotation(gens_nc, [ops[a]], eps * lam)[0]
             slope = (conj - ops[a]) / eps
-            predicted = sum(r_slope[a, b] * ops[b].mat for b in range(4))
-            assert np.linalg.norm(restrict(slope - Operator(predicted), ix)) < 1e-5
+            predicted = sum(r_slope[a, b] * ops[b].toarray() for b in range(4))
+            assert np.linalg.norm(restrict(slope - Operator(predicted), ix).toarray()) < 1e-5
 
     def test_covariant_four_tuple(self):
         space = HSSpace(ModelConfig(theta=1.0, truncation=16))
@@ -182,7 +182,7 @@ class TestShellRotations:
         the 2N - 1 shells, none larger than N."""
         space = HSSpace(ModelConfig(theta=1.0, truncation=7))
         gens = schwinger_noncommutative(space)
-        gen = sum(l * j.mat for l, j in zip([0.4, -1.3, 0.8], gens.as_tuple()))
+        gen = sum(l * j.toarray() for l, j in zip([0.4, -1.3, 0.8], gens.as_tuple()))
         shells = [sorted({sum(space.label(k)) for k in index}) for index in invariant_blocks(gen)]
         assert sorted(shells) == [[s] for s in range(2 * 7 - 1)]
 
@@ -201,11 +201,11 @@ class TestShellRotations:
             Operator(rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))),
             dimensionless(build_rep(space), space.theta).x1c,
         ]
-        gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
+        gen = sum(l * j.toarray() for l, j in zip(lam, gens.as_tuple()))
         u = Operator(scipy.linalg.expm(-1j * gen))
         for got, op in zip(conjugate_by_rotation(gens, ops, lam), ops):
             dense = u @ op @ u.dag()
-            assert np.max(np.abs(got.mat - dense.mat)) <= 1e-12 * max(1.0, np.abs(dense.mat).max())
+            assert np.max(np.abs(got.toarray() - dense.toarray())) <= 1e-12 * max(1.0, np.abs(dense.toarray()).max())
 
 
 class TestAdjointRep:
@@ -217,7 +217,7 @@ class TestAdjointRep:
         g4 = phase_space_generators()
         for j_nc, j_4 in zip(gens_nc.as_tuple(), g4.as_tuple()):
             m = adjoint_rep_matrix(j_nc, sp.four_tuple(), ix)
-            assert np.allclose(m, j_4.mat, atol=1e-10)
+            assert np.allclose(m, j_4.toarray(), atol=1e-10)
 
     def test_raises_outside_span(self, hs, gens_nc):
         rep = build_rep(hs)

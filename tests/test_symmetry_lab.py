@@ -78,9 +78,9 @@ class TestThetaOnOperators:
 
     def test_ladder_exchange_exact(self, hs, rep):
         # Theta B_{L/R} Theta^{-1} = B_{R/L}^dag, with no truncation error.
-        assert np.allclose(theta_conjugate(rep.B_L, hs).mat, rep.B_Rdag.mat)
-        assert np.allclose(theta_conjugate(rep.B_R, hs).mat, rep.B_Ldag.mat)
-        assert np.allclose(theta_conjugate(rep.B_Ldag, hs).mat, rep.B_R.mat)
+        assert np.allclose(theta_conjugate(rep.B_L, hs).toarray(), rep.B_Rdag.toarray())
+        assert np.allclose(theta_conjugate(rep.B_R, hs).toarray(), rep.B_Ldag.toarray())
+        assert np.allclose(theta_conjugate(rep.B_Ldag, hs).toarray(), rep.B_R.toarray())
 
     def test_momenta_flip(self, hs, rep):
         for p_i in (rep.P1, rep.P2):
