@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import identity
-from .moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
+from .moyal_rep import HSSpace, ModelConfig, RepOperators, block_norm, build_rep
 from .oscillator_models import MODELS, OscParams, h2, renormalized_params
 from .bogoliubov_flow import (
     bogoliubov_pair,
@@ -30,7 +30,7 @@ from .bogoliubov_flow import (
     phi_for,
     required_levels,
 )
-from .schwinger_su2 import schwinger_from_ladders, schwinger_noncommutative
+from .schwinger_su2 import SU2Generators, schwinger_from_ladders, schwinger_noncommutative
 from .spectra_harness import (
     SpectrumReport,
     build_model,
@@ -283,12 +283,12 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(mu: float, omega: float, theta: float, levels: int) -> str:
+def _sweep_row(mu: float, omega: float, hs: HSSpace, rep: RepOperators, gens: SU2Generators) -> str:
+    """One CSV row; ``rep`` and ``gens`` of ``hs`` serve every point at its theta."""
+    theta, levels = hs.theta, hs.levels
     p = OscParams(mu, omega)
     rp = renormalized_params(p, theta)
-    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
-    rep = build_rep(hs)
-    suite = time_reversal_suite(rep, schwinger_noncommutative(hs, rep), p, hs)
+    suite = time_reversal_suite(rep, gens, p, hs)
     j1r, j2r, j3r = suite.su2_residuals
     # h2 is SU(2) symmetric in its own Bogoliubov frame, so its commutant
     # residual is measured against the primed-ladder generators.
@@ -324,16 +324,24 @@ def _sweep_row(mu: float, omega: float, theta: float, levels: int) -> str:
     )
 
 
+def _theta_rows(mus: tuple[float, ...], omegas: tuple[float, ...], theta: float, levels: int) -> list[str]:
+    """Rows of every (mu, omega) at one theta, mu-major, from one
+    representation that is released on return."""
+    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
+    rep = build_rep(hs)
+    gens = schwinger_noncommutative(hs, rep)
+    return [_sweep_row(m, o, hs, rep, gens) for m in mus for o in omegas]
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     mus = cfg.mu_grid or (cfg.mu,)
     omegas = cfg.omega_grid or (cfg.omega,)
     thetas = cfg.theta_grid or (cfg.theta,)
-    points = [(m, o, t) for m in mus for o in omegas for t in thetas]
-    if not points:
-        raise ValueError("empty sweep grid")
-    rows = [_sweep_row(*pt, cfg.truncation) for pt in points]
+    per_theta = [_theta_rows(mus, omegas, t, cfg.truncation) for t in thetas]
+    # Grid order is mu-major and theta-minor.
+    rows = [row for point in zip(*per_theta) for row in point]
     _emit(_csv_text(cfg, _SWEEP_COLUMNS, rows), cfg.out)
-    sys.stdout.write(f"swept {len(points)} points\n")
+    sys.stdout.write(f"swept {len(rows)} points\n")
     return 0
 
 
@@ -425,10 +433,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first call to main and reused: parse_args keeps no state
+# between calls (the append actions copy their lists).
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     func, min_n = _COMMANDS[args.command]

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .operator_core import FockSpace, Operator, adjoint, annihilator, identity, tensor
+from .operator_core import FockSpace, Operator, identity, tensor
 
 __all__ = [
     "ModelConfig",
@@ -95,15 +95,11 @@ class HSSpace:
 
     @cached_property
     def safe_indices(self) -> np.ndarray:
-        n = self.levels
-        return np.array([m * n + k for m in range(n - 1) for k in range(n - 1)])
+        return self.safe_block(1)
 
     @cached_property
     def complete_shell_indices(self) -> np.ndarray:
-        n = self.levels
-        return np.array(
-            [m * n + k for m in range(n - 1) for k in range(n - 1) if m + k <= n - 2]
-        )
+        return self.shell_indices(self.levels - 2)
 
     def safe_block(self, depth: int = 1) -> np.ndarray:
         """Labels with m, n <= N-1-depth; exact for products whose
@@ -112,13 +108,13 @@ class HSSpace:
         top = n - depth
         if top < 1:
             raise ValueError(f"depth {depth} leaves no safe labels at N={n}")
-        return np.array([m * n + k for m in range(top) for k in range(top)])
+        return (np.arange(top)[:, None] * n + np.arange(top)).ravel()
 
     def shell_indices(self, max_total: int) -> np.ndarray:
-        n = self.levels
-        return np.array(
-            [m * n + k for m in range(n) for k in range(n) if m + k <= max_total]
-        )
+        """Labels with m + n <= max_total, in index order."""
+        k = np.arange(self.dim)
+        m, n = np.divmod(k, self.levels)
+        return k[m + n <= max_total]
 
 
 class HSState:
@@ -225,29 +221,40 @@ def build_rep(hs: HSSpace) -> RepOperators:
     B_L / B_R are the left and right actions of the lowering operator; the
     daggered versions are their Hilbert-Schmidt adjoints, which in this
     vectorization coincide with the matrix adjoints (asserted by tests).
-    Each has at most four non-zeros per row.  Raises ValueError, before
-    allocating, when the ten operators (24 bytes per stored entry: value
-    and column index) would exceed the machine's physical memory.
+    Each field is assembled in one step from the ladder diagonals: B_L at
+    offset +N with sqrt(m + 1), B_R at -1 with sqrt(n + 1) (0 at
+    n = N - 1), their adjoints at -N and +1.  The values repeat the scalar
+    operations of the kron definition in its order, so entries match it
+    bit for bit.  Raises ValueError, before allocating, when the ten
+    operators (24 bytes per stored entry: value and column index) would
+    exceed the machine's physical memory.
     """
     check_memory(10 * 4 * 24 * hs.dim, f"representation at N={hs.levels}")
-    theta = hs.theta
-    b = annihilator(hs.fock())
-    b_l = left_action(b, hs)
-    b_r = right_action(b, hs)
-    b_ld = adjoint(b_l)
-    b_rd = adjoint(b_r)
+    n, theta = hs.levels, hs.theta
+    root = np.sqrt(np.arange(1, n, dtype=np.float64))
+    v_l = np.repeat(root, n)
+    v_r = np.tile(np.append(root, 0.0), n)[:-1]
+    # |X| = sqrt(theta/2) on the B_L diagonals and |P| = 1/sqrt(2 theta) on
+    # all four; the commuting X^c_i = X_i + (theta/2) eps_ij P_j add h.
+    s, r, half = np.sqrt(theta / 2.0), 1.0 / np.sqrt(2.0 * theta), theta / 2.0
+    x, p_l, p_r = s * v_l, r * v_l, r * v_r
+    h_l, h_r = half * p_l, half * p_r
+    ladder = (n, -n, 1, -1)
 
-    s = np.sqrt(theta / 2.0)
-    x1 = s * (b_l + b_ld)
-    x2 = 1j * s * (b_ld - b_l)
-    p1 = (1j / np.sqrt(2.0 * theta)) * (b_ld - b_l - b_rd + b_r)
-    p2 = (1.0 / np.sqrt(2.0 * theta)) * (b_rd + b_r - b_ld - b_l)
-    # Commuting coordinates X_i^c = X_i + (theta/2) eps_ij P_j.
-    x1c = x1 + (theta / 2.0) * p2
-    x2c = x2 - (theta / 2.0) * p1
+    def field(*diagonals, offsets=ladder) -> Operator:
+        return Operator(scipy.sparse.diags_array(
+            diagonals, offsets=offsets, shape=(hs.dim, hs.dim), format="csr", dtype=np.complex128
+        ))
+
     return RepOperators(
-        B_L=b_l, B_R=b_r, B_Ldag=b_ld, B_Rdag=b_rd,
-        X1=x1, X2=x2, X1c=x1c, X2c=x2c, P1=p1, P2=p2,
+        B_L=field(v_l, offsets=(n,)), B_R=field(v_r, offsets=(-1,)),
+        B_Ldag=field(v_l, offsets=(-n,)), B_Rdag=field(v_r, offsets=(1,)),
+        X1=field(x, x, offsets=(n, -n)),
+        X2=field(1j * -x, 1j * x, offsets=(n, -n)),
+        X1c=field(x - h_l, x - h_l, h_r, h_r),
+        X2c=field(1j * (h_l - x), 1j * (x - h_l), 1j * h_r, 1j * -h_r),
+        P1=field(1j * -p_l, 1j * p_l, 1j * -p_r, 1j * p_r),
+        P2=field(-p_l, -p_l, p_r, p_r),
     )
 
 
@@ -292,5 +299,6 @@ def block_norm(op: Operator, indices: np.ndarray) -> float:
     """Frobenius norm of op restricted to the given basis indices."""
     inside = np.zeros(op.dim, dtype=bool)
     inside[indices] = True
-    m = op.mat.tocoo()
-    return float(np.linalg.norm(m.data[inside[m.row] & inside[m.col]]))
+    m = op.mat
+    rows = np.repeat(inside, np.diff(m.indptr))
+    return float(np.linalg.norm(m.data[rows & inside[m.indices]]))

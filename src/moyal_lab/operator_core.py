@@ -55,19 +55,24 @@ class FockSpace:
 class Operator:
     """Immutable complex square matrix on one fixed space: a canonical
     ``csr_array`` with no stored zeros and read-only arrays (a writable
-    sparse input is adopted without a copy).  Binary operations require
-    equal dimensions and always return new operators."""
+    complex ``csr_array``, such as a scipy result, is adopted as it is).
+    Binary operations require equal dimensions and always return new
+    operators."""
 
     __slots__ = ("_mat",)
 
     def __init__(self, mat) -> None:
-        m = scipy.sparse.csr_array(mat, dtype=np.complex128)
+        if isinstance(mat, scipy.sparse.csr_array) and mat.dtype == np.complex128:
+            m = mat
+        else:
+            m = scipy.sparse.csr_array(mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if not m.data.flags.writeable:
             m = m.copy()
         m.sum_duplicates()
-        m.eliminate_zeros()
+        if not m.data.all():
+            m.eliminate_zeros()
         if not np.all(np.isfinite(m.data)):
             raise ValueError("operator entries must be finite")
         for part in (m.data, m.indices, m.indptr):

@@ -58,8 +58,9 @@ def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> 
     converge far more slowly than the bare tanh tail suggests.
     """
     if formula is None:
+        # cut <= N - 1, so no label of the simplex is lost to the truncation.
         cut = levels // 2
-        return sum(1 for m in range(levels) for n in range(levels) if m + n <= cut)
+        return (cut + 1) * (cut + 2) // 2
     cut = levels // 3
     if cut + 1 >= levels:
         return 0

@@ -7,10 +7,11 @@ import tracemalloc
 
 import pytest
 
-from moyal_lab.cli import algebra_residuals, fmt, main, parse_config_file
-from moyal_lab import moyal_rep
+from moyal_lab import cli, moyal_rep
+from moyal_lab.cli import _sweep_row, algebra_residuals, fmt, main, parse_config_file
 from moyal_lab.moyal_rep import HSSpace, ModelConfig
 from moyal_lab.operator_core import Operator
+from moyal_lab.schwinger_su2 import schwinger_noncommutative
 
 
 class TestConfigFile:
@@ -136,6 +137,37 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    def test_appended_grid_does_not_leak(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        single = tmp_path / "single.csv"
+        tail = ["--truncation", "8", "--no-timestamp"]
+        assert main(["sweep", "--mu", "1", "--mu", "2", *tail, "--out", str(grid)]) == 0
+        assert main(["sweep", *tail, "--out", str(single)]) == 0
+        assert len(grid.read_text().strip().splitlines()) == 3
+        assert len(single.read_text().strip().splitlines()) == 2  # header + one row
+
+    def test_valid_call_after_parser_error(self, tmp_path, capsys):
+        assert main(["sweep", "--truncation", "8", "--no-such-flag"]) == 2
+        assert main(["algebra", "--truncation", "4", "--out", str(tmp_path / "a.json")]) == 0
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        real_build = cli._build_parser
+
+        def counting_build():
+            builds.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting_build)
+        for _ in range(3):
+            assert main(["algebra", "--truncation", "4", "--out", str(tmp_path / "a.json")]) == 0
+        assert builds == [1]
 
 
 class TestSpectrumCommand:
@@ -545,12 +577,29 @@ class TestSparseCost:
         [
             ["sweep", "--mu", "1.3", "--omega", "0.8", "--theta", "0.7", "--truncation", "10"],
             ["symmetry", "--mu", "1.3", "--omega", "0.8", "--theta", "0.7", "--truncation", "10"],
+            [
+                "sweep", "--mu", "1.3", "--mu", "0.6", "--omega", "0.8", "--omega", "1.7",
+                "--theta", "0.7", "--theta", "1.9", "--truncation", "10",
+            ],
         ],
     )
     def test_one_representation_per_request(self, argv, monkeypatch, tmp_path, capsys):
+        # One representation per theta: a sweep shares it between the
+        # (mu, omega) points at that theta.
         calls = self._count_build_rep(monkeypatch)
-        assert main([*argv, "--out", str(tmp_path / "report")]) == 0
-        assert calls == [10]
+        out = tmp_path / "report"
+        assert main([*argv, "--no-timestamp", "--out", str(out)]) == 0
+        assert calls == [10] * argv.count("--theta")
+        if argv[0] == "sweep":
+            grid = {f: [float(v) for k, v in zip(argv, argv[1:]) if k == f] for f in ("--mu", "--omega", "--theta")}
+            expected = []
+            for mu in grid["--mu"]:
+                for omega in grid["--omega"]:
+                    for theta in grid["--theta"]:
+                        hs = HSSpace(ModelConfig(theta=theta, truncation=10))
+                        rep = moyal_rep.build_rep(hs)
+                        expected.append(_sweep_row(mu, omega, hs, rep, schwinger_noncommutative(hs, rep)))
+            assert out.read_text().splitlines()[1:] == expected
 
     def test_large_truncations_stay_small(self, tmp_path, capsys):
         # One dense N^2 x N^2 operator would take 4 GiB at N = 128 and

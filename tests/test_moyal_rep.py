@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moyal_lab.operator_core import Operator, adjoint, annihilator, commutator, identity
+from moyal_lab.spectra_harness import trusted_level_count
 from moyal_lab.moyal_rep import (
     HSSpace,
     HSState,
@@ -64,6 +65,28 @@ class TestConfigAndSpace:
         assert labels == {
             (m, k) for m in range(n) for k in range(n) if m + k <= n - 2
         }
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    def test_index_sets_match_label_loops(self, levels):
+        # The index arithmetic against the label loops it replaced: same
+        # arrays, same order, same dtype.
+        space = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        n = levels
+
+        def loop(top, keep=lambda m, k: True):
+            return np.array([m * n + k for m in range(top) for k in range(top) if keep(m, k)])
+
+        expected = {
+            "safe": (space.safe_indices, loop(n - 1)),
+            "complete shells": (space.complete_shell_indices, loop(n - 1, lambda m, k: m + k <= n - 2)),
+            "depth 2": (space.safe_block(2), loop(n - 2)),
+            "depth 3": (space.safe_block(3), loop(n - 3)),
+        }
+        for total in (0, 1, n - 2, n, 2 * n - 2):
+            expected[f"shell {total}"] = (space.shell_indices(total), loop(n, lambda m, k: m + k <= total))
+        for name, (got, want) in expected.items():
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert trusted_level_count(n) == sum(1 for m in range(n) for k in range(n) if m + k <= n // 2)
 
 
 class TestStates:
@@ -214,6 +237,30 @@ class TestAlgebra:
     def test_hermiticity_of_observables(self, hs, rep):
         for op in (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2):
             assert np.allclose(op.toarray(), op.toarray().conj().T)
+
+
+@pytest.mark.parametrize("levels, theta", [(4, 0.3), (5, 1.0), (12, 0.7), (16, 2.9)])
+def test_build_rep_is_the_kron_definition(levels, theta):
+    # build_rep assembles its fields from the ladder diagonals; the
+    # definition is operator algebra on the left and right actions of b.
+    # The two must agree entry for entry, not only to rounding.
+    space = HSSpace(ModelConfig(theta=theta, truncation=levels))
+    b = annihilator(space.fock())
+    b_l, b_r = left_action(b, space), right_action(b, space)
+    b_ld, b_rd = adjoint(b_l), adjoint(b_r)
+    s = np.sqrt(theta / 2.0)
+    x1, x2 = s * (b_l + b_ld), 1j * s * (b_ld - b_l)
+    p1 = (1j / np.sqrt(2.0 * theta)) * (b_ld - b_l - b_rd + b_r)
+    p2 = (1.0 / np.sqrt(2.0 * theta)) * (b_rd + b_r - b_ld - b_l)
+    definition = dict(
+        B_L=b_l, B_R=b_r, B_Ldag=b_ld, B_Rdag=b_rd, X1=x1, X2=x2,
+        X1c=x1 + (theta / 2.0) * p2, X2c=x2 - (theta / 2.0) * p1, P1=p1, P2=p2,
+    )
+    rep = build_rep(space)
+    for name, op in definition.items():
+        got = getattr(rep, name).mat
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(op.mat, part)), (name, part)
 
 
 def test_build_rep_refuses_oversized_space(monkeypatch):

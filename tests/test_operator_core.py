@@ -56,6 +56,43 @@ class TestOperator:
         assert np.allclose(expm(1j * op).toarray(), np.diag(np.exp([2j, 3j])))
         assert np.array_equal(Operator(op.mat).toarray(), op.toarray())
 
+    def test_exact_cancellation_stores_no_zeros(self):
+        a = Operator(np.array([[1, 2j], [0, 3]]))
+        # A complex csr_array is adopted as it is, explicit zero included;
+        # u @ v cancels exactly (1 - 1) in its only non-zero entry.
+        u = scipy.sparse.csr_array(
+            (np.array([1, 1, 0], dtype=complex), np.array([0, 1, 0]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        v = scipy.sparse.csr_array(np.array([[1, 0], [-1, 0]], dtype=complex))
+        for op in (a - a, Operator(u @ v)):
+            assert op.mat.nnz == 0 and op.norm() == 0.0
+        adopted = Operator(u)
+        assert adopted.mat.nnz == 2 and np.all(adopted.mat.data != 0)
+
+    def test_adopted_non_finite_rejected(self):
+        m = scipy.sparse.csr_array(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        with pytest.raises(ValueError):
+            Operator(m)
+
+    def test_adopted_input_becomes_read_only(self):
+        m = scipy.sparse.csr_array(np.array([[1, 2j], [0, 3]]))
+        op = Operator(m)
+        assert op.mat is m
+        for part in (m.data, m.indices, m.indptr):
+            assert not part.flags.writeable
+
+    def test_other_inputs_made_canonical_complex_csr(self):
+        dense = np.array([[0.0, 2.0], [3.0, 0.0]])
+        coo = scipy.sparse.coo_array(
+            (np.array([2.0, 1.0, 2.0, -1.0, 1.0]), (np.array([0, 1, 1, 0, 0]), np.array([1, 0, 0, 0, 0]))),
+            shape=(2, 2),
+        )  # duplicates sum to dense, with a cancelling pair at (0, 0)
+        for m in (scipy.sparse.csr_array(dense), coo):
+            op = Operator(m)
+            assert isinstance(op.mat, scipy.sparse.csr_array)
+            assert op.mat.dtype == np.complex128 and op.mat.has_canonical_format
+            assert op.mat.nnz == 2 and np.array_equal(op.toarray(), dense)
+
     def test_arithmetic(self):
         a = Operator(np.array([[1, 2], [3, 4]], dtype=complex))
         b = identity(2)
