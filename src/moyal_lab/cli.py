@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import identity
-from .moyal_rep import HSSpace, ModelConfig, RepOperators, block_norm, build_rep
+from .moyal_rep import HSSpace, ModelConfig, RepOperators, block_values, build_rep, row_norm
 from .oscillator_models import MODELS, OscParams, h2, renormalized_params
 from .bogoliubov_flow import (
     bogoliubov_pair,
@@ -211,9 +211,9 @@ def algebra_residuals(hs: HSSpace) -> list[tuple[str, float, float]]:
     eye = identity(hs.dim)
     rows = []
     for name, a, b, c in relations:
-        ab, ba = a @ b, b @ a
-        resid = block_norm(ab - ba - c * eye, ix)
-        rows.append((name, resid, resid / (block_norm(ab, ix) + block_norm(ba, ix))))
+        ab, ba, one = block_values([a @ b, b @ a, eye], ix)
+        resid = row_norm(ab - ba - complex(c) * one)
+        rows.append((name, resid, resid / (row_norm(ab) + row_norm(ba))))
     return rows
 
 

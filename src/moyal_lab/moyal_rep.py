@@ -46,6 +46,8 @@ __all__ = [
     "apply_op",
     "restrict",
     "block_norm",
+    "block_values",
+    "row_norm",
 ]
 
 
@@ -302,3 +304,32 @@ def block_norm(op: Operator, indices: np.ndarray) -> float:
     m = op.mat
     rows = np.repeat(inside, np.diff(m.indptr))
     return float(np.linalg.norm(m.data[rows & inside[m.indices]]))
+
+
+def block_values(ops, indices: np.ndarray) -> np.ndarray:
+    """Entries of each operator on ``indices x indices``, one row each,
+    aligned on the union of their non-zero patterns in row-major order (the
+    order ``block_norm`` reads), with 0 where an operator stores nothing."""
+    dim = ops[0].dim
+    inside = np.zeros(dim, dtype=bool)
+    inside[indices] = True
+    keys, values = [], []
+    for op in ops:
+        if op.dim != dim:
+            raise ValueError(f"dimension mismatch: {op.dim} vs {dim}")
+        m = op.mat
+        rows = np.repeat(np.arange(dim), np.diff(m.indptr))
+        keep = inside[rows] & inside[m.indices]
+        keys.append(rows[keep] * dim + m.indices[keep])
+        values.append(m.data[keep])
+    union = np.sort(np.concatenate(keys))
+    union = union[np.diff(union, prepend=-1) != 0]
+    out = np.zeros((len(ops), union.size), dtype=np.complex128)
+    for row, k, v in zip(out, keys, values):
+        row[union.searchsorted(k)] = v
+    return out
+
+
+def row_norm(values: np.ndarray) -> float:
+    """Frobenius norm of a ``block_values`` row, summed as ``block_norm`` sums."""
+    return float(np.linalg.norm(values[values != 0]))

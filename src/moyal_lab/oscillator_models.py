@@ -143,15 +143,18 @@ def _sectors(levels: int, alpha: float, beta: float, zeeman: float) -> Tridiagon
     exact compression onto the N^2 block: the truncated spectrum is
     variational, approaching the exact levels from above.
     """
-    blocks = []
-    for d in range(1 - levels, levels):
-        k = np.arange(levels - abs(d))
-        m = k + max(d, 0)
-        n = k + max(-d, 0)
-        diag = alpha * (m + n + 1) + zeeman * d / 2.0
-        off = beta * np.sqrt((m[:-1] + 1.0) * (n[:-1] + 1.0))
-        blocks.append((m * levels + n, diag, off))
-    return TridiagonalBlocks(levels**2, tuple(blocks))
+    sectors = np.arange(1 - levels, levels)
+    sizes = levels - np.abs(sectors)
+    ends = np.cumsum(sizes)
+    d = np.repeat(sectors, sizes)
+    k = np.arange(levels**2) - np.repeat(ends - sizes, sizes)
+    m = k + np.maximum(d, 0)
+    n = k + np.maximum(-d, 0)
+    diag = alpha * (m + n + 1) + zeeman * d / 2.0
+    # Couplings to the next label; the last label of each sector has none.
+    off = beta * np.sqrt((m + 1.0) * (n + 1.0))
+    pieces = (np.split(a, ends[:-1]) for a in (m * levels + n, diag, off))
+    return TridiagonalBlocks(levels**2, tuple((index, dg, o[:-1]) for index, dg, o in zip(*pieces)))
 
 
 def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: int) -> TridiagonalBlocks:

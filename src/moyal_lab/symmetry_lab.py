@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .operator_core import Operator, commutator
-from .moyal_rep import HSSpace, HSState, RepOperators, block_norm
+from .moyal_rep import HSSpace, HSState, RepOperators, block_norm, block_values, row_norm
 from .oscillator_models import OscParams, h2, h3
 from .schwinger_su2 import SU2Generators
 
@@ -39,12 +40,17 @@ def theta_conjugate(op: Operator, hs: HSSpace) -> Operator:
     """Theta O Theta^{-1} via the swap-conjugate formula.
 
     S maps index m N + n to n N + m, so S conj(O) S is conj(O) with rows
-    and columns both permuted that way.
+    and columns both permuted that way, by one sort of the moved keys.
     """
     if op.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {op.dim} vs {hs.dim}")
-    perm = np.arange(hs.dim).reshape(hs.levels, hs.levels).T.ravel()
-    return Operator(op.mat.conj()[perm][:, perm])
+    dim, m = hs.dim, op.mat
+    perm = np.arange(dim, dtype=m.indices.dtype).reshape(hs.levels, hs.levels).T.ravel()
+    counts = np.diff(m.indptr)
+    cols = perm[m.indices]
+    order = np.argsort(np.repeat(perm.astype(np.int64), counts) * dim + cols)
+    indptr = np.append(0, np.cumsum(counts[perm])).astype(m.indptr.dtype)
+    return Operator(scipy.sparse.csr_array((m.data[order].conj(), cols[order], indptr), shape=(dim, dim)))
 
 
 def su2_commutant(h: Operator, gens: SU2Generators, hs: HSSpace) -> tuple[float, float, float]:
@@ -88,31 +94,31 @@ def time_reversal_suite(
     term mu theta omega^2 J3 (recorded as ``zeeman_difference_residual``).
     """
     theta = hs.theta
-    ix = hs.safe_indices
-
-    def tr(op: Operator) -> Operator:
-        return theta_conjugate(op, hs)
-
-    x1r = 2.0 * rep.X1c - rep.X1
-    x2r = 2.0 * rep.X2c - rep.X2
-    ham2 = h2(hs, p)
     ham3 = h3(hs, p)
-    breaking = tr(ham3) - ham3
+    base = (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2, gens.J3, h2(hs, p), ham3)
+    rows = block_values([*base, *(theta_conjugate(op, hs) for op in base)], hs.safe_indices)
+    x1, x2, x1c, x2c, p1, p2, j3, e2, e3 = rows[:9]
+    tx1, tx2, tx1c, tx2c, tp1, tp2, tj3, te2, te3 = rows[9:]
+    # Theta(2 X^c_i - X_i) from the images: Theta is antilinear, 2 and 1 real.
+    two, shear = complex(2.0), complex(theta)
+    x1r, x2r = two * x1c - x1, two * x2c - x2
+    tx1r, tx2r = two * tx1c - tx1, two * tx2c - tx2
+    breaking = te3 - e3
 
     rules = {
-        "X1L_shear": block_norm(tr(rep.X1) - (rep.X1 + theta * rep.P2), ix),
-        "X2L_shear": block_norm(tr(rep.X2) - (rep.X2 - theta * rep.P1), ix),
-        "X1R_shear": block_norm(tr(x1r) - (x1r - theta * rep.P2), ix),
-        "X2R_shear": block_norm(tr(x2r) - (x2r + theta * rep.P1), ix),
-        "P1_flip": block_norm(tr(rep.P1) + rep.P1, ix),
-        "P2_flip": block_norm(tr(rep.P2) + rep.P2, ix),
-        "X1c_invariant": block_norm(tr(rep.X1c) - rep.X1c, ix),
-        "X2c_invariant": block_norm(tr(rep.X2c) - rep.X2c, ix),
-        "J3_flip": block_norm(tr(gens.J3) + gens.J3, ix),
-        "H2_invariant": block_norm(tr(ham2) - ham2, ix),
-        "H3_breaking_norm": block_norm(breaking, ix),
+        "X1L_shear": row_norm(tx1 - (x1 + shear * p2)),
+        "X2L_shear": row_norm(tx2 - (x2 - shear * p1)),
+        "X1R_shear": row_norm(tx1r - (x1r - shear * p2)),
+        "X2R_shear": row_norm(tx2r - (x2r + shear * p1)),
+        "P1_flip": row_norm(tp1 + p1),
+        "P2_flip": row_norm(tp2 + p2),
+        "X1c_invariant": row_norm(tx1c - x1c),
+        "X2c_invariant": row_norm(tx2c - x2c),
+        "J3_flip": row_norm(tj3 + j3),
+        "H2_invariant": row_norm(te2 - e2),
+        "H3_breaking_norm": row_norm(breaking),
     }
-    zeeman_resid = block_norm(breaking + 2.0 * (p.mu * theta * p.omega**2) * gens.J3, ix)
+    zeeman_resid = row_norm(breaking + complex(2.0 * (p.mu * theta * p.omega**2)) * j3)
     return SymmetryReport(
         model="h3",
         params={"mu": p.mu, "omega": p.omega, "theta": theta, "N": hs.levels},

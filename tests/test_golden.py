@@ -1,10 +1,12 @@
 """Reports that must stay byte-identical across performance changes.
 
-``tests/golden/`` holds ``--no-timestamp`` reports of four N = 12 and
-N = 32 requests.  Their numbers come from sparse products, sums and
-norms alone (no LAPACK call), so on one machine and scipy version every
-byte is reproducible; a change of scipy's sparse kernels may require
-regenerating them, by running the requests below with ``--out``.
+``tests/golden/`` holds ``--no-timestamp`` reports of six requests at
+N = 9, 12, 32 and 33 (two at odd N), with two thetas in each sweep.
+Their numbers come from sparse products and from numpy sums and norms
+on aligned safe-block values (no LAPACK call), so on one machine and
+numpy and scipy version every byte is reproducible; a change of those
+kernels may require regenerating them, by running the requests below
+with ``--out``.
 """
 
 from pathlib import Path
@@ -23,6 +25,11 @@ REQUESTS = {
     "symmetry_n12.json": ["symmetry", "--mu", "1.3", "--omega", "0.8", "--theta", "0.7", "--truncation", "12"],
     "algebra_n12.json": ["algebra", "--theta", "0.7", "--truncation", "12"],
     "algebra_n32.json": ["algebra", "--theta", "1.3", "--truncation", "32"],
+    "sweep_n9.csv": [
+        "sweep", "--mu", "0.6", "--mu", "1.7", "--omega", "1.1",
+        "--theta", "0.45", "--theta", "2.2", "--truncation", "9", "--format", "csv",
+    ],
+    "symmetry_n33.json": ["symmetry", "--mu", "0.9", "--omega", "1.7", "--theta", "2.2", "--truncation", "33"],
 }
 
 

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from moyal_lab.moyal_rep import (
     apply_op,
     basis_state,
     block_norm,
+    block_values,
     build_rep,
     dimensionless,
     hs_inner,
@@ -21,6 +23,7 @@ from moyal_lab.moyal_rep import (
     left_action,
     restrict,
     right_action,
+    row_norm,
     state_from_matrix,
 )
 
@@ -295,6 +298,59 @@ class TestRestrict:
         ix = np.array([0, 3, 5])
         assert np.allclose(restrict(op, ix).toarray(), m[np.ix_(ix, ix)])
         assert block_norm(op, ix) == pytest.approx(np.linalg.norm(m[np.ix_(ix, ix)]))
+
+
+def random_sparse(dim: int, rng: np.random.Generator, density: float = 0.05) -> Operator:
+    """Complex operator whose real and imaginary parts have different patterns."""
+    re = scipy.sparse.random_array((dim, dim), density=density, rng=rng)
+    im = scipy.sparse.random_array((dim, dim), density=density, rng=rng)
+    return Operator(scipy.sparse.csr_array(re - 1j * im))
+
+
+BLOCKS = [
+    pytest.param(lambda space: space.safe_indices, id="safe"),
+    pytest.param(lambda space: space.safe_block(2), id="depth2"),
+]
+
+
+class TestBlockValues:
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_row_norm_is_block_norm(self, levels, block):
+        """Bit for bit, alone and aligned with other operators' patterns."""
+        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
+        rng = np.random.default_rng(levels)
+        ix = block(space)
+        ops = [random_sparse(space.dim, rng) for _ in range(3)]
+        rows = block_values(ops, ix)
+        for op, row in zip(ops, rows):
+            assert row_norm(block_values([op], ix)[0]) == block_norm(op, ix)
+            assert row_norm(row) == block_norm(op, ix)
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_rows_align_row_major(self, levels, block):
+        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
+        rng = np.random.default_rng(100 + levels)
+        ix = block(space)
+        ops = [random_sparse(space.dim, rng, density) for density in (0.02, 0.05, 0.1)]
+        dense = [restrict(op, ix).toarray() for op in ops]
+        union = np.any([d != 0 for d in dense], axis=0)
+        assert np.array_equal(block_values(ops, ix), np.array([d[union] for d in dense]))
+
+    def test_cancelled_operator_gives_zero_row(self, hs):
+        rng = np.random.default_rng(5)
+        op = random_sparse(hs.dim, rng, 0.2)
+        gone = op - op
+        rows = block_values([op, gone], hs.safe_indices)
+        assert rows.shape[1] > 0
+        assert not rows[1].any()
+        assert row_norm(rows[1]) == 0.0
+        assert block_values([gone], hs.safe_indices).shape == (1, 0)
+
+    def test_dimension_mismatch(self, hs):
+        with pytest.raises(ValueError):
+            block_values([identity(hs.dim), identity(hs.dim + 1)], hs.safe_indices)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,6 +17,7 @@ from moyal_lab.operator_core import (
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
 from moyal_lab.oscillator_models import (
     MODELS,
+    _sectors,
     OscParams,
     alpha_beta,
     analytic_spectrum,
@@ -295,6 +296,33 @@ class TestSectorForm:
     def test_invalid_space_rejected(self, model, theta, levels):
         with pytest.raises(ValueError):
             sector_hamiltonian(model, OscParams(1.0, 1.0), theta, levels)
+
+
+def sectors_by_loop(levels, alpha, beta, zeeman):
+    """The per-sector loop that ``_sectors`` replaced, kept as its reference."""
+    blocks = []
+    for d in range(1 - levels, levels):
+        k = np.arange(levels - abs(d))
+        m = k + max(d, 0)
+        n = k + max(-d, 0)
+        diag = alpha * (m + n + 1) + zeeman * d / 2.0
+        off = beta * np.sqrt((m[:-1] + 1.0) * (n[:-1] + 1.0))
+        blocks.append((m * levels + n, diag, off))
+    return blocks
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4, 12, 33])
+@pytest.mark.parametrize("zeeman", [0.0, 0.7310249])
+def test_sectors_match_loop_bit_for_bit(levels, zeeman):
+    alpha, beta = alpha_beta(OscParams(1.37, 0.41), 2.2)
+    got = _sectors(levels, alpha, beta, zeeman)
+    ref = sectors_by_loop(levels, alpha, beta, zeeman)
+    assert got.dim == levels**2
+    assert len(got.blocks) == len(ref)
+    for block, expected in zip(got.blocks, ref):
+        for a, b in zip(block, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAnalyticSpectrum:

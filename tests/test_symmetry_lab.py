@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from moyal_lab.operator_core import Operator, commutator
 from moyal_lab.moyal_rep import (
@@ -103,6 +104,36 @@ class TestThetaOnOperators:
     def test_dimension_mismatch(self, hs):
         with pytest.raises(ValueError):
             theta_conjugate(Operator(np.eye(3)), hs)
+
+
+def random_sparse(dim: int, rng: np.random.Generator) -> Operator:
+    re = scipy.sparse.random_array((dim, dim), density=0.05, rng=rng)
+    im = scipy.sparse.random_array((dim, dim), density=0.05, rng=rng)
+    return Operator(scipy.sparse.csr_array(re + 1j * im))
+
+
+class TestThetaConjugateStorage:
+    """The key-sort construction against conj(O) permuted by fancy indexing."""
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    def test_equals_permuted_conjugate(self, levels):
+        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
+        op = random_sparse(space.dim, np.random.default_rng(levels))
+        perm = np.arange(space.dim).reshape(levels, levels).T.ravel()
+        ref = Operator(op.mat.conj()[perm][:, perm]).mat
+        got = theta_conjugate(op, space).mat
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+        assert got.indices.dtype == ref.indices.dtype
+        assert got.has_canonical_format
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    def test_involution_bit_for_bit(self, levels):
+        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
+        op = random_sparse(space.dim, np.random.default_rng(50 + levels))
+        back = theta_conjugate(theta_conjugate(op, space), space).mat
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back, part), getattr(op.mat, part))
 
 
 class TestSU2Commutant:
