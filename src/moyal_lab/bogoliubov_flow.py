@@ -44,7 +44,6 @@ __all__ = [
     "bogoliubov_pair",
     "bogoliubov_frame",
     "dilatation",
-    "dilatation_quadratic",
     "dilatation_scaling_constant",
     "dilatation_unitary",
     "required_levels",
@@ -88,19 +87,10 @@ def bogoliubov_pair(hs: HSSpace, phi: float, rep: RepOperators | None = None) ->
 def dilatation(hs: HSSpace) -> Operator:
     """Dilatation generator, ladder form i (B_L^dag B_R - B_L B_R^dag).
 
-    Exactly Hermitian even at the truncation edge; on the safe block it
-    equals the quadratic form :func:`dilatation_quadratic`.
+    Exactly Hermitian even at the truncation edge.
     """
     rep = build_rep(hs)
     return 1j * (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag)
-
-
-def dilatation_quadratic(hs: HSSpace) -> Operator:
-    """Independent construction (1/2)(X^c . P + P . X^c)."""
-    rep = build_rep(hs)
-    return 0.5 * (
-        rep.X1c @ rep.P1 + rep.P1 @ rep.X1c + rep.X2c @ rep.P2 + rep.P2 @ rep.X2c
-    )
 
 
 @lru_cache(maxsize=1)
@@ -279,7 +269,7 @@ class IntertwinerReport:
 def intertwiner_check(psi0: GroundState, lambda_plus: float, theta: float) -> IntertwinerReport:
     """Safe-block residuals of the relations tying psi0 to the bare ladder."""
     hs = psi0.psi0.space
-    b = annihilator(hs.fock()).toarray()
+    b = annihilator(hs.fock()).mat
     m = psi0.psi0.as_matrix()
     left = b @ m
     right = m @ b

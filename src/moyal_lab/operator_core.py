@@ -2,13 +2,14 @@
 
 Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
-ladder matrices, adjoints, commutators, Kronecker products, matrix
-exponentials (taken block by block on a generator's invariant blocks) and
-a Hermitian eigensolver with deterministic output.  Every ladder
-polynomial has a few non-zeros per row, so operators are held in
-compressed sparse row form; a dense array is made only on request.
-Hamiltonians with a conserved quantity are also held block by block as
-real symmetric tridiagonal blocks, which the same eigensolver accepts.
+ladder matrices, adjoints, commutators, Kronecker products and the
+exponential of a Hermitian or anti-Hermitian generator, taken block by
+block on its invariant blocks.  Every ladder polynomial has a few
+non-zeros per row, so operators are held in compressed sparse row form;
+a dense array is made only on request.  Hamiltonians with a conserved
+quantity are held block by block as real symmetric tridiagonal blocks,
+and the spectral solvers take them in that form; a dense Hermitian
+eigensolver with deterministic eigenvector phases remains for operators.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ __all__ = [
     "hermitian_ground",
 ]
 
-# Normality / hermiticity checks are scale-relative.
-NORMALITY_RTOL = 1e-12
+# Scale-relative tolerances of expm's Hermitian / anti-Hermitian test and
+# of hermitian_eig's input check.
+EXPM_RTOL = 1e-12
 HERMITICITY_RTOL = 1e-10
 
 
@@ -209,28 +211,20 @@ def _expm_hermitian(m: scipy.sparse.csr_array, factor: complex) -> scipy.sparse.
 
 
 def expm(a: Operator) -> Operator:
-    """Matrix exponential.
+    """Matrix exponential of a Hermitian or anti-Hermitian operator.
 
-    Hermitian and anti-Hermitian inputs (every rotation and flow generator
-    in this package) are diagonalized with eigh, one invariant block at a
-    time: the su(2) generators keep m + n and the dilatation m - n, so no
-    block has more than N levels.  Other normal inputs go through a dense
-    unitary Schur decomposition; anything else falls back to scipy's dense
-    scaling-and-squaring.
+    The input is diagonalized with eigh, one invariant block at a time:
+    the su(2) generators keep m + n and the dilatation m - n, so no block
+    has more than N levels.  Any other input raises ValueError.
     """
     scale = a.norm()
     if scale == 0.0:
         return identity(a.dim)
-    if (a - a.dag()).norm() <= NORMALITY_RTOL * scale:
+    if (a - a.dag()).norm() <= EXPM_RTOL * scale:
         return Operator(_expm_hermitian(a.mat, 1.0))
-    if (a + a.dag()).norm() <= NORMALITY_RTOL * scale:
+    if (a + a.dag()).norm() <= EXPM_RTOL * scale:
         return Operator(_expm_hermitian(a.mat / 1j, 1j))
-    m = a.toarray()
-    defect = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
-    if defect <= NORMALITY_RTOL * scale**2:
-        t, q = scipy.linalg.schur(m, output="complex")
-        return Operator((q * np.exp(np.diag(t))) @ q.conj().T)
-    return Operator(scipy.linalg.expm(m))
+    raise ValueError("expm needs a Hermitian or anti-Hermitian operator")
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
@@ -249,50 +243,37 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrized(h: Operator) -> np.ndarray:
-    m = h.toarray()
-    scale = np.linalg.norm(m)
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > HERMITICITY_RTOL * max(scale, 1.0):
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} at norm {scale:.3e}")
-    return (m + m.conj().T) / 2.0
-
-
 def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of h.
 
     Rejects inputs whose anti-Hermitian part exceeds the tolerance, then
     symmetrizes before calling the solver.
     """
-    w, v = np.linalg.eigh(_symmetrized(h))
+    m = h.toarray()
+    scale = np.linalg.norm(m)
+    dev = np.linalg.norm(m - m.conj().T)
+    if dev > HERMITICITY_RTOL * max(scale, 1.0):
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} at norm {scale:.3e}")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w, _fix_column_phases(v)
 
 
-def hermitian_eigvals(h: Operator | TridiagonalBlocks) -> np.ndarray:
-    """Ascending eigenvalues only.
-
-    Operators get the same validation as :func:`hermitian_eig`;
-    tridiagonal blocks are solved one block at a time (non-finite entries
-    raise ValueError there too).
-    """
-    if isinstance(h, TridiagonalBlocks):
-        return np.sort(np.concatenate(_block_eigvals(h)))
-    return np.linalg.eigvalsh(_symmetrized(h))
+def hermitian_eigvals(h: TridiagonalBlocks) -> np.ndarray:
+    """Ascending eigenvalues, solved one block at a time (non-finite
+    entries raise ValueError)."""
+    return np.sort(np.concatenate(_block_eigvals(h)))
 
 
 def _block_eigvals(h: TridiagonalBlocks) -> list[np.ndarray]:
     return [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
 
 
-def hermitian_ground(h: Operator | TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_ground(h: TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of h and the unit eigenvector of the lowest one.
 
-    Tridiagonal blocks are solved once each for their eigenvalues; the
-    vector comes from the block that holds the lowest of them.
+    Each block is solved once for its eigenvalues; the vector comes from
+    the block that holds the lowest of them.
     """
-    if not isinstance(h, TridiagonalBlocks):
-        w, v = hermitian_eig(h)
-        return w, v[:, 0]
     per_block = _block_eigvals(h)
     index, diag, off = h.blocks[int(np.argmin([w[0] for w in per_block]))]
     _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))

@@ -217,7 +217,7 @@ def zeeman_decomposition(hs: HSSpace, p: OscParams) -> ZeemanDecomposition:
     xc2 = rep.X1c @ rep.X1c + rep.X2c @ rep.X2c
     p2 = rep.P1 @ rep.P1 + rep.P2 @ rep.P2
     part = p2 / (2.0 * mu_p) + 0.5 * mu_p * om_p**2 * xc2
-    j3 = schwinger_noncommutative(hs).J3
+    j3 = schwinger_noncommutative(hs, rep).J3
     return ZeemanDecomposition(
         h2_part=part,
         zeeman_coeff=p.mu * hs.theta * p.omega**2,

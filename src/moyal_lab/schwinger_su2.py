@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
-from .moyal_rep import HSSpace, RepOperators, build_rep, restrict
+from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, restrict
 
 __all__ = [
     "SU2Generators",
@@ -177,28 +177,17 @@ def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
     return [u @ op @ ud for op in ops]
 
 
-def _union_rows(mats: list) -> np.ndarray:
-    """Sparse matrices of one shape as dense rows over the union of their
-    non-zero patterns: entries outside it are zero in all of them, so norms
-    and least-squares fits of the rows are those of the whole matrices."""
-    coos = [m.tocoo() for m in mats]
-    keys = [c.row.astype(np.int64) * c.shape[1] + c.col for c in coos]
-    union = np.sort(np.concatenate(keys))
-    union = union[np.r_[True, union[1:] != union[:-1]]]  # np.unique, but faster here
-    rows = np.zeros((len(mats), union.size), dtype=np.complex128)
-    for row, key, c in zip(rows, keys, coos):
-        row[np.searchsorted(union, key)] = c.data
-    return rows
-
-
 def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> np.ndarray:
-    """Union rows of ops and then of their rotations on the complete shells
-    (m + n <= N-2), which every rotation keeps: restricting generators and
-    ops to them first gives the same conjugates there for half the work."""
+    """Aligned values of ops and then of their rotations on the complete
+    shells (m + n <= N-2), which every rotation keeps: restricting
+    generators and ops to them first gives the same conjugates there for
+    half the work.  Entries outside the union of the non-zero patterns are
+    zero in every row, so norms and least-squares fits of the rows are
+    those of the whole matrices."""
     ix = hs.complete_shell_indices
     sub = SU2Generators(*(Operator(restrict(j, ix)) for j in gens.as_tuple()), context=gens.context)
     ops = [Operator(restrict(op, ix)) for op in ops]
-    return _union_rows([op.mat for op in ops + conjugate_by_rotation(sub, ops, lam)])
+    return block_values(ops + conjugate_by_rotation(sub, ops, lam), np.arange(ix.size))
 
 
 def _span_fit(targets: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +235,7 @@ def position_noncovariance(gens: SU2Generators, x1: Operator, x2: Operator, lam,
 def adjoint_rep_matrix(j_op: Operator, ops, indices: np.ndarray) -> np.ndarray:
     """4x4 matrix M with [O_a, J] = sum_b M[a, b] O_b, fitted on a block."""
     ops = list(ops)
-    rows = _union_rows([restrict(op, indices) for op in ops + [commutator(op, j_op) for op in ops]])
+    rows = block_values(ops + [commutator(op, j_op) for op in ops], indices)
     coeffs, resid = _span_fit(rows[len(ops):], rows[: len(ops)])
     scale = np.maximum(np.linalg.norm(rows[: len(ops)], axis=1), 1.0)
     if np.any(resid > 1e-10 * scale):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import Operator, TridiagonalBlocks, hermitian_eigvals, hermitian_ground
+from .operator_core import TridiagonalBlocks, hermitian_eigvals, hermitian_ground
 from .moyal_rep import HSState, hs_inner, hs_norm
 from .oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, sector_hamiltonian
 from .bogoliubov_flow import GroundState
@@ -122,7 +122,7 @@ class SpectrumReport:
 
 
 def diagonalize_compare(
-    h: Operator | TridiagonalBlocks,
+    h: TridiagonalBlocks,
     formula: SpectrumFormula,
     levels: int,
     params: dict | None = None,
@@ -133,8 +133,7 @@ def diagonalize_compare(
     k = trusted_level_count(levels, formula)
     if k == 0:
         raise ValueError("empty trust region")
-    evals = hermitian_eigvals(h)
-    numeric = np.sort(evals)[:k]
+    numeric = hermitian_eigvals(h)[:k]
     analytic = _analytic_levels(formula, levels)[:k]
     residual = float(np.max(np.abs(numeric - analytic)))
     return SpectrumReport(
@@ -175,13 +174,13 @@ def convergence_study(
             k0 = trusted_level_count(n, formula)
         if k0 > n**2:
             raise ValueError(f"k0={k0} exceeds the lattice size at N={n}")
-        numeric = np.sort(hermitian_eigvals(h))[:k0]
+        numeric = hermitian_eigvals(h)[:k0]
         analytic = _analytic_levels(formula, n)[:k0]
         out.append((n, float(np.max(np.abs(numeric - analytic)))))
     return out
 
 
-def ground_overlap(h: Operator | TridiagonalBlocks, psi0: GroundState) -> float:
+def ground_overlap(h: TridiagonalBlocks, psi0: GroundState) -> float:
     """Overlap of the numeric ground eigenvector with the exact psi0."""
     hs = psi0.psi0.space
     if h.dim != hs.dim:

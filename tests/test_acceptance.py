@@ -54,6 +54,7 @@ from moyal_lab.oscillator_models import (
     h3,
     lambdas,
     renormalize,
+    sector_hamiltonian,
     zeeman_decomposition,
 )
 from moyal_lab.bogoliubov_flow import (
@@ -221,7 +222,7 @@ def test_criterion_4_h2_spectrum():
     variational = True
     for n in truncations:
         h, formula = build_model("h2", OscParams(mu, omega), theta, n)
-        numeric = np.sort(hermitian_eigvals(h))[:15]
+        numeric = hermitian_eigvals(h)[:15]
         analytic = np.sort(
             [formula.energy(m, k) for m in range(n) for k in range(n)]
         )[:15]
@@ -295,7 +296,7 @@ def test_criterion_6_critical_point():
         vac = basis_state(hs, 0, 0)
         for c in c_operators(hs, p):
             worst_kill = max(worst_kill, hs_norm(apply_op(c, vac)))
-        h = h2(hs, p)
+        h = sector_hamiltonian("h2", p, theta, 16)
         worst_overlap = min(worst_overlap, ground_overlap(h, ground_state_closed(hs, phi)))
 
     ok = worst_phi == 0.0 and worst_kill <= 1e-12 and worst_overlap >= 1.0 - 1e-10

@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moyal_lab.operator_core import commutator, identity, invariant_blocks
+from moyal_lab.operator_core import Operator, annihilator, commutator, identity, invariant_blocks
 from moyal_lab.moyal_rep import (
     HSSpace,
     ModelConfig,
@@ -32,7 +32,6 @@ from moyal_lab.bogoliubov_flow import (
     c_operators,
     c_operators_primed,
     dilatation,
-    dilatation_quadratic,
     dilatation_scaling_constant,
     dilatation_unitary,
     ground_state_closed,
@@ -46,6 +45,14 @@ from moyal_lab.bogoliubov_flow import (
 @pytest.fixture(scope="module")
 def hs():
     return HSSpace(ModelConfig(theta=1.0, truncation=12))
+
+
+def dilatation_quadratic(hs: HSSpace) -> Operator:
+    """Oracle for the ladder-form dilatation: (1/2)(X^c . P + P . X^c)."""
+    rep = build_rep(hs)
+    return 0.5 * (
+        rep.X1c @ rep.P1 + rep.P1 @ rep.X1c + rep.X2c @ rep.P2 + rep.P2 @ rep.X2c
+    )
 
 
 class TestPhi:
@@ -340,3 +347,18 @@ class TestIntertwiner:
         g = ground_state_closed(hs, rp.phi)
         report = intertwiner_check(g, 2.0 * rp.lambda_plus, 1.0)
         assert report.residual > 1e-3
+
+    @pytest.mark.parametrize("levels", [16, 200])
+    @pytest.mark.parametrize("phi", [-0.3, 0.35])
+    def test_sparse_ladder_matches_dense(self, levels, phi):
+        """The sparse ladder gives the residuals of the dense products bit for bit."""
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        g = ground_state_closed(hs, phi)
+        lam = 0.7
+        b = annihilator(hs.fock()).toarray()
+        m = g.psi0.as_matrix()
+        left, right = b @ m, m @ b
+        sub = np.ix_(np.arange(levels - 1), np.arange(levels - 1))
+        report = intertwiner_check(g, lam, 1.0)
+        assert report.residual == float(np.linalg.norm(((1.0 + lam) * left - right)[sub]))
+        assert report.tanh_residual == float(np.linalg.norm((left + math.tanh(phi) * right)[sub]))

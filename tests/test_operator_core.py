@@ -167,20 +167,22 @@ class TestExpm:
         u = expm(Operator(1j * h))
         assert np.allclose((u @ u.dag()).toarray(), np.eye(5), atol=1e-12)
 
-    def test_non_normal_falls_back(self):
-        # Nilpotent upper triangular matrix: exp is I + M exactly.
+    def test_rejects_non_normal(self):
+        # Nilpotent upper triangular matrix: neither Hermitian nor anti-Hermitian.
         m = np.array([[0, 3.0], [0, 0]], dtype=complex)
-        assert np.allclose(expm(Operator(m)).toarray(), np.eye(2) + m)
+        with pytest.raises(ValueError):
+            expm(Operator(m))
 
     def test_matches_series_oracle(self):
         rng = np.random.default_rng(3)
-        m = 0.1 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        series = np.eye(4, dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for k in range(1, 30):
-            term = term @ m / k
-            series = series + term
-        assert np.allclose(expm(Operator(m)).toarray(), series, atol=1e-13)
+        a = 0.1 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        for m in (a + a.conj().T, 1j * (a + a.conj().T)):
+            series = np.eye(4, dtype=complex)
+            term = np.eye(4, dtype=complex)
+            for k in range(1, 30):
+                term = term @ m / k
+                series = series + term
+            assert np.allclose(expm(Operator(m)).toarray(), series, atol=1e-13)
 
 
 def _planted_blocks(rng, sizes):
@@ -305,6 +307,7 @@ def test_commutator_antisymmetry(seed):
 @given(st.integers(min_value=0, max_value=1000))
 def test_expm_inverse_property(seed):
     rng = np.random.default_rng(seed)
-    m = 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    prod = expm(Operator(m)) @ expm(Operator(-m))
-    assert np.allclose(prod.toarray(), np.eye(4), atol=1e-11)
+    a = 0.25 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for m in (a + a.conj().T, 1j * (a + a.conj().T)):
+        prod = expm(Operator(m)) @ expm(Operator(-m))
+        assert np.allclose(prod.toarray(), np.eye(4), atol=1e-11)
