@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operator_core import Operator, adjoint, annihilator, commutator, expm
+from .operator_core import Operator, adjoint, annihilator, commutator, identity
 from .moyal_rep import (
     HSSpace,
     HSState,
@@ -34,7 +35,7 @@ from .moyal_rep import (
     restrict,
     state_from_matrix,
 )
-from .oscillator_models import OscParams
+from .oscillator_models import OscParams, sector_blocks
 
 __all__ = [
     "BogoliubovFrame",
@@ -118,9 +119,25 @@ def dilatation_scaling_constant() -> float:
 
 
 def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
-    """Unitary implementing the phi-dilatation with the calibrated constant."""
-    c = dilatation_scaling_constant()
-    return expm((-1j * c * phi) * dilatation(hs))
+    """Unitary exp(-i c phi D) of the phi-dilatation, c calibrated.
+
+    D keeps d = m - n and maps (m, n) to (m + 1, n + 1) with
+    i sqrt((m + 1)(n + 1)): on sector d it is S J S^dag, with J the
+    zero-diagonal ``sector_blocks`` chain (beta = 1, equal for d and -d)
+    and S = diag(i^k).  With J = V diag(w) V^T a block is the real matrix
+    (S V) e^(-i c phi w) (S V)^dag.  phi = 0 gives the identity exactly."""
+    if phi == 0.0:
+        return identity(hs.dim)
+    t, n = dilatation_scaling_constant() * phi, hs.levels
+    chains = sector_blocks(n, 0.0, 1.0, 0.0).blocks
+    exps = []
+    for _, diag, off in chains[n - 1:]:
+        w, v = scipy.linalg.eigh_tridiagonal(diag, off)
+        sv = v * np.array([1, 1j, -1, -1j])[np.arange(w.size) % 4, None]
+        exps.append(((sv * np.exp(-1j * t * w)) @ sv.conj().T).real.ravel())
+    coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
+    vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
+    return Operator(scipy.sparse.coo_array((vals, tuple(coords)), shape=(hs.dim, hs.dim)))
 
 
 @dataclass(frozen=True)

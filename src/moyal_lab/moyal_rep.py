@@ -37,6 +37,7 @@ __all__ = [
     "left_action",
     "right_action",
     "build_rep",
+    "ladders",
     "check_memory",
     "hs_inner",
     "hs_norm",
@@ -217,6 +218,26 @@ def check_memory(need: int, what: str) -> None:
         )
 
 
+def _ladder_fields(hs: HSSpace, entries: int):
+    """The ladder diagonals of B_L and B_R and the assembler of a field from
+    diagonals, once ``entries`` stored entries fit in memory (see build_rep)."""
+    check_memory(24 * entries, f"representation at N={hs.levels}")
+    n, root = hs.levels, np.sqrt(np.arange(1, hs.levels, dtype=np.float64))
+
+    def field(*diagonals, offsets=(n, -n, 1, -1)) -> Operator:
+        return Operator(scipy.sparse.diags_array(
+            diagonals, offsets=offsets, shape=(hs.dim, hs.dim), format="csr", dtype=np.complex128
+        ))
+
+    return np.repeat(root, n), np.tile(np.append(root, 0.0), n)[:-1], field
+
+
+def ladders(hs: HSSpace) -> tuple[Operator, Operator]:
+    """B_L and B_R of ``build_rep(hs)``, equal bit for bit, without the other eight fields."""
+    v_l, v_r, field = _ladder_fields(hs, 2 * hs.dim)
+    return field(v_l, offsets=(hs.levels,)), field(v_r, offsets=(-1,))
+
+
 def build_rep(hs: HSSpace) -> RepOperators:
     """All ten representation operators for the given space.
 
@@ -231,23 +252,13 @@ def build_rep(hs: HSSpace) -> RepOperators:
     operators (24 bytes per stored entry: value and column index) would
     exceed the machine's physical memory.
     """
-    check_memory(10 * 4 * 24 * hs.dim, f"representation at N={hs.levels}")
+    v_l, v_r, field = _ladder_fields(hs, 10 * 4 * hs.dim)
     n, theta = hs.levels, hs.theta
-    root = np.sqrt(np.arange(1, n, dtype=np.float64))
-    v_l = np.repeat(root, n)
-    v_r = np.tile(np.append(root, 0.0), n)[:-1]
     # |X| = sqrt(theta/2) on the B_L diagonals and |P| = 1/sqrt(2 theta) on
     # all four; the commuting X^c_i = X_i + (theta/2) eps_ij P_j add h.
     s, r, half = np.sqrt(theta / 2.0), 1.0 / np.sqrt(2.0 * theta), theta / 2.0
     x, p_l, p_r = s * v_l, r * v_l, r * v_r
     h_l, h_r = half * p_l, half * p_r
-    ladder = (n, -n, 1, -1)
-
-    def field(*diagonals, offsets=ladder) -> Operator:
-        return Operator(scipy.sparse.diags_array(
-            diagonals, offsets=offsets, shape=(hs.dim, hs.dim), format="csr", dtype=np.complex128
-        ))
-
     return RepOperators(
         B_L=field(v_l, offsets=(n,)), B_R=field(v_r, offsets=(-1,)),
         B_Ldag=field(v_l, offsets=(-n,)), B_Rdag=field(v_r, offsets=(1,)),
@@ -293,8 +304,17 @@ def dimensionless(rep: RepOperators, theta: float) -> ScaledPhaseSpace:
 
 
 def restrict(op: Operator, indices: np.ndarray) -> scipy.sparse.csr_array:
-    """Sparse submatrix of op on the given basis indices."""
-    return op.mat[indices][:, indices]
+    """Sparse submatrix of op on strictly ascending basis indices (others
+    raise ValueError), built in one pass through an old-to-new index map."""
+    m, indices = op.mat, np.asarray(indices)
+    if np.any(np.diff(indices) <= 0):
+        raise ValueError("restrict needs strictly ascending indices")
+    new = np.full(op.dim, -1, dtype=m.indices.dtype)
+    new[indices] = np.arange(indices.size)
+    rows, cols = np.repeat(new, np.diff(m.indptr)), new[m.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    indptr = np.append(0, np.cumsum(np.bincount(rows[keep], minlength=indices.size))).astype(m.indptr.dtype)
+    return scipy.sparse.csr_array((m.data[keep], cols[keep], indptr), shape=(indices.size, indices.size))
 
 
 def block_norm(op: Operator, indices: np.ndarray) -> float:

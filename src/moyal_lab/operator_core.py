@@ -4,12 +4,13 @@ Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
 ladder matrices, adjoints, commutators, Kronecker products and the
 exponential of a Hermitian or anti-Hermitian generator, taken block by
-block on its invariant blocks.  Every ladder polynomial has a few
-non-zeros per row, so operators are held in compressed sparse row form;
-a dense array is made only on request.  Hamiltonians with a conserved
-quantity are held block by block as real symmetric tridiagonal blocks,
-and the spectral solvers take them in that form; a dense Hermitian
-eigensolver with deterministic eigenvector phases remains for operators.
+block (it serves the su(2) shell rotations; the dilatation unitary comes
+from its J3-sector chains).  Every ladder polynomial has a few non-zeros
+per row, so operators are held in compressed sparse row form; a dense
+array is made only on request.  Hamiltonians with a conserved quantity
+are held block by block as real symmetric tridiagonal blocks, and the
+spectral solvers take them in that form; a dense Hermitian eigensolver
+with deterministic eigenvector phases remains for operators.
 """
 
 from __future__ import annotations
@@ -214,8 +215,9 @@ def expm(a: Operator) -> Operator:
     """Matrix exponential of a Hermitian or anti-Hermitian operator.
 
     The input is diagonalized with eigh, one invariant block at a time:
-    the su(2) generators keep m + n and the dilatation m - n, so no block
-    has more than N levels.  Any other input raises ValueError.
+    the su(2) shell rotations keep m + n, so no block has more than N
+    levels (the dilatation unitary comes from its J3-sector chains
+    instead).  Any other input raises ValueError.
     """
     scale = a.norm()
     if scale == 0.0:

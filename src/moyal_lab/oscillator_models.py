@@ -39,6 +39,7 @@ __all__ = [
     "h2",
     "h3",
     "sector_hamiltonian",
+    "sector_blocks",
     "alpha_beta",
     "critical_point",
     "renormalize",
@@ -133,8 +134,8 @@ def renormalized_params(p: OscParams, theta: float) -> RenormalizedParams:
     )
 
 
-def _sectors(levels: int, alpha: float, beta: float, zeeman: float) -> TridiagonalBlocks:
-    """The 2N - 1 sectors d = m - n of a quadratic Hamiltonian.
+def sector_blocks(levels: int, alpha: float, beta: float, zeeman: float) -> TridiagonalBlocks:
+    """The 2N - 1 sectors d = m - n of a quadratic Hamiltonian, d ascending.
 
     Sector d holds the labels (m, n) with m - n = d in order of m + n.  Its
     diagonal is alpha (m + n + 1) + zeeman d / 2, and its off-diagonal,
@@ -168,7 +169,7 @@ def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: in
     model).
     """
     if model == "commutative":
-        return _sectors(FockSpace(levels).levels, p.omega, 0.0, 0.0)
+        return sector_blocks(FockSpace(levels).levels, p.omega, 0.0, 0.0)
     ModelConfig(theta=theta, truncation=levels)  # validates theta and N
     if model == "h1":
         coeffs = (1.0, 0.0, 0.0)
@@ -179,7 +180,7 @@ def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: in
         coeffs = (*alpha_beta(dressed, theta), p.mu * theta * p.omega**2)
     else:
         raise ValueError(f"unknown model {model!r}")
-    return _sectors(levels, *coeffs)
+    return sector_blocks(levels, *coeffs)
 
 
 def h_commutative(levels: int, p: OscParams) -> Operator:

@@ -15,11 +15,12 @@ noncommuting positions (covariant only under the J3 rotation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
-from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, restrict
+from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, ladders, restrict
 
 __all__ = [
     "SU2Generators",
@@ -110,9 +111,9 @@ def schwinger_noncommutative(hs: HSSpace, rep: RepOperators | None = None) -> SU
 
     Obtained from the commutative ones by the substitution a1 -> B_L and
     a2^dag -> B_R (the right action raises the ket-side label); ``rep`` is
-    the representation of ``hs``, if already built."""
-    rep = rep if rep is not None else build_rep(hs)
-    return schwinger_from_ladders(rep.B_L, rep.B_R, "noncommutative")
+    the representation of ``hs``, if built (else only B_L, B_R are)."""
+    bl, br = (rep.B_L, rep.B_R) if rep is not None else ladders(hs)
+    return schwinger_from_ladders(bl, br, "noncommutative")
 
 
 def casimir(g: SU2Generators) -> Operator:
@@ -152,15 +153,15 @@ def phase_space_generators() -> SU2Generators:
 
 
 def rotation_matrix(lam) -> np.ndarray:
-    """4x4 rotation R(lambda) = exp(i lambda . J4).
-
+    """4x4 rotation R(lambda) = exp(i lambda . J4) in closed form: with
+    h = |lambda| / 2, (lambda . J4)^2 = h^2 I, so R = cos(h) I +
+    i (sin(h) / h) lambda . J4, which is real (I at lambda = 0).
     Sign convention fixed repo-wide; a test re-derives it from operator
-    conjugation at small lambda instead of trusting the formula.
-    """
+    conjugation at small lambda instead of trusting the formula."""
     lam = np.asarray(lam, dtype=float)
-    g4 = phase_space_generators()
-    gen = sum(l * j.mat for l, j in zip(lam, g4.as_tuple()))
-    return expm(Operator(1j * gen)).toarray().real
+    half = np.linalg.norm(lam) / 2.0
+    gen = sum(l * j.toarray() for l, j in zip(lam, phase_space_generators().as_tuple()))
+    return (np.cos(half) * np.eye(4) + 1j * np.sinc(half / np.pi) * gen).real
 
 
 def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
@@ -177,17 +178,26 @@ def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
     return [u @ op @ ud for op in ops]
 
 
+@lru_cache(maxsize=1)
+def _shell_rotation(gens: SU2Generators, lam: tuple[float, ...], hs: HSSpace) -> tuple[Operator, Operator]:
+    """u = exp(-i lam.J) and u^dag on the complete shells (m + n <= N-2),
+    which every rotation keeps: the covariance and noncovariance checks of
+    one rotation share a single exponential."""
+    gen = sum(l * restrict(j, hs.complete_shell_indices) for l, j in zip(lam, gens.as_tuple()))
+    u = expm(Operator(-1j * gen))
+    return u, u.dag()
+
+
 def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> np.ndarray:
     """Aligned values of ops and then of their rotations on the complete
-    shells (m + n <= N-2), which every rotation keeps: restricting
-    generators and ops to them first gives the same conjugates there for
-    half the work.  Entries outside the union of the non-zero patterns are
-    zero in every row, so norms and least-squares fits of the rows are
-    those of the whole matrices."""
+    shells: restricting generators and ops to them first gives the same
+    conjugates there for half the work.  Entries outside the union of the
+    non-zero patterns are zero in every row, so norms and least-squares
+    fits of the rows are those of the whole matrices."""
     ix = hs.complete_shell_indices
-    sub = SU2Generators(*(Operator(restrict(j, ix)) for j in gens.as_tuple()), context=gens.context)
+    u, ud = _shell_rotation(gens, tuple(float(x) for x in lam), hs)
     ops = [Operator(restrict(op, ix)) for op in ops]
-    return block_values(ops + conjugate_by_rotation(sub, ops, lam), np.arange(ix.size))
+    return block_values(ops + [u @ op @ ud for op in ops], np.arange(ix.size))
 
 
 def _span_fit(targets: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moyal_lab.operator_core import Operator, annihilator, commutator, identity, invariant_blocks
+from moyal_lab.operator_core import Operator, annihilator, commutator, expm, identity, invariant_blocks
 from moyal_lab.moyal_rep import (
     HSSpace,
     ModelConfig,
@@ -202,6 +202,28 @@ class TestDilatation:
         ix = space.shell_indices(6)
         diff = restrict(conj - bl_p, ix).toarray()
         assert np.linalg.norm(diff) < 1e-8
+
+
+class TestDilatationChains:
+    """``dilatation_unitary`` against the block-wise exponential of the ladder form."""
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 24])
+    @pytest.mark.parametrize("phi", [-0.7, -0.3, 0.35])
+    def test_matches_ladder_form_exponential(self, levels, phi):
+        space = HSSpace(ModelConfig(theta=0.8, truncation=levels))
+        oracle = expm((-1j * dilatation_scaling_constant() * phi) * dilatation(space))
+        got = dilatation_unitary(space, phi).toarray()
+        assert np.abs(got - oracle.toarray()).max() <= 1e-13
+        # Non-zero exactly on the union of the sector blocks d x d, and real.
+        d = np.subtract(*np.divmod(np.arange(space.dim), levels))
+        assert np.array_equal(got != 0, d[:, None] == d)
+        assert not got.imag.any()
+
+    def test_zero_angle_is_identity(self):
+        space = HSSpace(ModelConfig(theta=0.8, truncation=6))
+        u, eye = dilatation_unitary(space, 0.0).mat, identity(space.dim).mat
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(u, part), getattr(eye, part))
 
 
 class TestGroundState:

@@ -6,7 +6,8 @@ Their numbers come from sparse products and from numpy sums and norms
 on aligned safe-block values (no LAPACK call), so on one machine and
 numpy and scipy version every byte is reproducible; a change of those
 kernels may require regenerating them, by running the requests below
-with ``--out``.
+with ``--out``.  Two ``ground`` reports (h3 at N = 24, h2 at N = 40) add
+the sector eigensolver and the ground-state flow.
 """
 
 from pathlib import Path
@@ -30,6 +31,12 @@ REQUESTS = {
         "--theta", "0.45", "--theta", "2.2", "--truncation", "9", "--format", "csv",
     ],
     "symmetry_n33.json": ["symmetry", "--mu", "0.9", "--omega", "1.7", "--theta", "2.2", "--truncation", "33"],
+    "ground_h3_n24.json": [
+        "ground", "--model", "h3", "--mu", "1", "--omega", "1", "--theta", "1", "--truncation", "24",
+    ],
+    "ground_h2_n40.json": [
+        "ground", "--model", "h2", "--mu", "2", "--omega", "2", "--theta", "1", "--truncation", "40",
+    ],
 }
 
 

@@ -17,7 +17,7 @@ from moyal_lab.operator_core import (
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, block_norm, build_rep
 from moyal_lab.oscillator_models import (
     MODELS,
-    _sectors,
+    sector_blocks,
     OscParams,
     alpha_beta,
     analytic_spectrum,
@@ -299,7 +299,7 @@ class TestSectorForm:
 
 
 def sectors_by_loop(levels, alpha, beta, zeeman):
-    """The per-sector loop that ``_sectors`` replaced, kept as its reference."""
+    """The per-sector loop that ``sector_blocks`` replaced, kept as its reference."""
     blocks = []
     for d in range(1 - levels, levels):
         k = np.arange(levels - abs(d))
@@ -315,7 +315,7 @@ def sectors_by_loop(levels, alpha, beta, zeeman):
 @pytest.mark.parametrize("zeeman", [0.0, 0.7310249])
 def test_sectors_match_loop_bit_for_bit(levels, zeeman):
     alpha, beta = alpha_beta(OscParams(1.37, 0.41), 2.2)
-    got = _sectors(levels, alpha, beta, zeeman)
+    got = sector_blocks(levels, alpha, beta, zeeman)
     ref = sectors_by_loop(levels, alpha, beta, zeeman)
     assert got.dim == levels**2
     assert len(got.blocks) == len(ref)
