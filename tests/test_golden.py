@@ -1,8 +1,8 @@
 """Reports that must stay byte-identical across performance changes.
 
-``tests/golden/`` holds ``--no-timestamp`` reports of six requests at
-N = 9, 12, 32 and 33 (two at odd N), with two thetas in each sweep.
-Their numbers come from sparse products and from numpy sums and norms
+``tests/golden/`` holds ``--no-timestamp`` reports of eight requests at
+N = 9, 12, 32, 33, 96 and 128 (two at odd N), with two thetas in each
+sweep.  Their numbers come from sparse products and from numpy sums and norms
 on aligned safe-block values (no LAPACK call), so on one machine and
 numpy and scipy version every byte is reproducible; a change of those
 kernels may require regenerating them, by running the requests below
@@ -31,6 +31,8 @@ REQUESTS = {
         "--theta", "0.45", "--theta", "2.2", "--truncation", "9", "--format", "csv",
     ],
     "symmetry_n33.json": ["symmetry", "--mu", "0.9", "--omega", "1.7", "--theta", "2.2", "--truncation", "33"],
+    "algebra_n128.json": ["algebra", "--theta", "0.7", "--truncation", "128"],
+    "symmetry_n96.json": ["symmetry", "--mu", "1.1", "--omega", "0.7", "--theta", "1.9", "--truncation", "96"],
     "ground_h3_n24.json": [
         "ground", "--model", "h3", "--mu", "1", "--omega", "1", "--theta", "1", "--truncation", "24",
     ],
