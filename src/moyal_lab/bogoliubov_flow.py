@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operator_core import Operator, adjoint, annihilator, commutator, identity
+from .operator_core import Operator, adjoint, annihilator, commutator, from_entries, identity
 from .moyal_rep import (
     HSSpace,
     HSState,
@@ -137,7 +137,7 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
         exps.append(((sv * np.exp(-1j * t * w)) @ sv.conj().T).real.ravel())
     coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
     vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
-    return Operator(scipy.sparse.coo_array((vals, tuple(coords)), shape=(hs.dim, hs.dim)))
+    return from_entries(hs.dim, *coords, vals)
 
 
 @dataclass(frozen=True)

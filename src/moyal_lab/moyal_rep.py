@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .operator_core import FockSpace, Operator, identity, tensor
+from .operator_core import Diagonals, FockSpace, Operator, identity, tensor
 
 __all__ = [
     "ModelConfig",
@@ -225,9 +225,12 @@ def _ladder_fields(hs: HSSpace, entries: int):
     n, root = hs.levels, np.sqrt(np.arange(1, hs.levels, dtype=np.float64))
 
     def field(*diagonals, offsets=(n, -n, 1, -1)) -> Operator:
-        return Operator(scipy.sparse.diags_array(
-            diagonals, offsets=offsets, shape=(hs.dim, hs.dim), format="csr", dtype=np.complex128
-        ))
+        # Diagonal k starts at row -k when k < 0 (scipy's diags convention).
+        values = np.zeros((len(offsets), hs.dim), dtype=np.complex128)
+        for row, k, v in zip(values, offsets, diagonals):
+            row[max(-k, 0):hs.dim - max(k, 0)] = v
+        order = np.argsort(offsets)
+        return Operator(Diagonals(np.asarray(offsets)[order], values[order]))
 
     return np.repeat(root, n), np.tile(np.append(root, 0.0), n)[:-1], field
 
@@ -249,8 +252,9 @@ def build_rep(hs: HSSpace) -> RepOperators:
     n = N - 1), their adjoints at -N and +1.  The values repeat the scalar
     operations of the kron definition in its order, so entries match it
     bit for bit.  Raises ValueError, before allocating, when the ten
-    operators (24 bytes per stored entry: value and column index) would
-    exceed the machine's physical memory.
+    operators would exceed the machine's physical memory: each is counted
+    as four 16-byte diagonals, with half as much again for the
+    temporaries of their products (960 N^2 bytes in all).
     """
     v_l, v_r, field = _ladder_fields(hs, 10 * 4 * hs.dim)
     n, theta = hs.levels, hs.theta
@@ -321,9 +325,8 @@ def block_norm(op: Operator, indices: np.ndarray) -> float:
     """Frobenius norm of op restricted to the given basis indices."""
     inside = np.zeros(op.dim, dtype=bool)
     inside[indices] = True
-    m = op.mat
-    rows = np.repeat(inside, np.diff(m.indptr))
-    return float(np.linalg.norm(m.data[rows & inside[m.indices]]))
+    rows, cols, values = op.entries()
+    return float(np.linalg.norm(values[inside[rows] & inside[cols]]))
 
 
 def block_values(ops, indices: np.ndarray) -> np.ndarray:
@@ -331,23 +334,19 @@ def block_values(ops, indices: np.ndarray) -> np.ndarray:
     aligned on the union of their non-zero patterns in row-major order (the
     order ``block_norm`` reads), with 0 where an operator stores nothing."""
     dim = ops[0].dim
-    inside = np.zeros(dim, dtype=bool)
-    inside[indices] = True
-    keys, values = [], []
     for op in ops:
         if op.dim != dim:
             raise ValueError(f"dimension mismatch: {op.dim} vs {dim}")
-        m = op.mat
-        rows = np.repeat(np.arange(dim), np.diff(m.indptr))
-        keep = inside[rows] & inside[m.indices]
-        keys.append(rows[keep] * dim + m.indices[keep])
-        values.append(m.data[keep])
-    union = np.sort(np.concatenate(keys))
-    union = union[np.diff(union, prepend=-1) != 0]
-    out = np.zeros((len(ops), union.size), dtype=np.complex128)
-    for row, k, v in zip(out, keys, values):
-        row[union.searchsorted(k)] = v
-    return out
+    offsets, slots = np.unique(np.concatenate([op.offsets for op in ops]), return_inverse=True)
+    owner = np.repeat(np.arange(len(ops)), [op.offsets.size for op in ops])
+    stack = np.zeros((len(ops), offsets.size, dim), dtype=np.complex128)
+    stack[owner, slots] = np.concatenate([op.diagonals for op in ops])
+    inside = np.zeros(dim + 1, dtype=bool)  # the extra slot: columns outside
+    inside[indices] = True
+    cols = np.arange(dim) + offsets[:, None]
+    keep = inside[:-1] & inside[np.where((cols >= 0) & (cols < dim), cols, dim)] & stack.any(axis=0)
+    rows, slot = np.nonzero(np.ascontiguousarray(keep.T))
+    return stack[:, slot, rows]
 
 
 def row_norm(values: np.ndarray) -> float:

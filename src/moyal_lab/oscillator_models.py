@@ -154,8 +154,10 @@ def sector_blocks(levels: int, alpha: float, beta: float, zeeman: float) -> Trid
     diag = alpha * (m + n + 1) + zeeman * d / 2.0
     # Couplings to the next label; the last label of each sector has none.
     off = beta * np.sqrt((m + 1.0) * (n + 1.0))
-    pieces = (np.split(a, ends[:-1]) for a in (m * levels + n, diag, off))
-    return TridiagonalBlocks(levels**2, tuple((index, dg, o[:-1]) for index, dg, o in zip(*pieces)))
+    index = m * levels + n
+    return TridiagonalBlocks(levels**2, tuple(
+        (index[lo:hi], diag[lo:hi], off[lo:hi - 1]) for lo, hi in zip((ends - sizes).tolist(), ends.tolist())
+    ))
 
 
 def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: int) -> TridiagonalBlocks:

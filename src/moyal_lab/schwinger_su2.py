@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
 from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, ladders, restrict
@@ -98,9 +99,10 @@ def schwinger_from_ladders(bl: Operator, br: Operator, context: str) -> SU2Gener
     this also produces the symmetry algebra of a frame-changed Hamiltonian.
     """
     bld, brd = adjoint(bl), adjoint(br)
+    lowered, raised = br @ bl, bld @ brd
     return SU2Generators(
-        J1=0.5 * (br @ bl + bld @ brd),
-        J2=0.5j * (br @ bl - bld @ brd),
+        J1=0.5 * (lowered + raised),
+        J2=0.5j * (lowered - raised),
         J3=0.5 * (bld @ bl - br @ brd),
         context=context,
     )
@@ -138,18 +140,21 @@ def jj3_labels(levels: int) -> list[JLabel]:
     return [JLabel(m, n) for m in range(levels) for n in range(levels)]
 
 
+# J1, J2, J3 on the phase-space 4-tuple (x1c, x2c, p1/2, p2/2).
+_PHASE4D = 0.5j * np.array(
+    [
+        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    ],
+    dtype=complex,
+)
+_PHASE4D.setflags(write=False)
+
+
 def phase_space_generators() -> SU2Generators:
     """The fixed 4x4 generators acting on (x1c, x2c, p1/2, p2/2)."""
-    j1 = 0.5j * np.array(
-        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
-    )
-    j2 = 0.5j * np.array(
-        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
-    )
-    j3 = 0.5j * np.array(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=complex
-    )
-    return SU2Generators(Operator(j1), Operator(j2), Operator(j3), context="phase4d")
+    return SU2Generators(*(Operator(j) for j in _PHASE4D), context="phase4d")
 
 
 def rotation_matrix(lam) -> np.ndarray:
@@ -160,7 +165,7 @@ def rotation_matrix(lam) -> np.ndarray:
     conjugation at small lambda instead of trusting the formula."""
     lam = np.asarray(lam, dtype=float)
     half = np.linalg.norm(lam) / 2.0
-    gen = sum(l * j.toarray() for l, j in zip(lam, phase_space_generators().as_tuple()))
+    gen = sum(l * j for l, j in zip(lam, _PHASE4D))
     return (np.cos(half) * np.eye(4) + 1j * np.sinc(half / np.pi) * gen).real
 
 
@@ -173,19 +178,49 @@ def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
     """
     lam = np.asarray(lam, dtype=float)
     gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
-    u = expm(Operator(-1j * gen))
-    ud = u.dag()
-    return [u @ op @ ud for op in ops]
+    u, ud = _unitary_pair(Operator(-1j * gen))
+    return [Operator(_conjugate(u, op.mat, ud)) for op in ops]
+
+
+def _unitary_pair(gen: Operator) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
+    """exp(gen) and its adjoint as canonical CSR matrices: a rotation is
+    dense on each shell, so its products stay in scipy's CSR form."""
+    u = expm(gen).mat
+    return u, u.conj().T.tocsr()
+
+
+def _conjugate(u, op, ud) -> scipy.sparse.csr_array:
+    """u @ op @ ud, with the inner product's columns sorted as the left
+    factor of a CSR product must be for canonical summation order."""
+    inner = u @ op
+    inner.sort_indices()
+    return inner @ ud
 
 
 @lru_cache(maxsize=1)
-def _shell_rotation(gens: SU2Generators, lam: tuple[float, ...], hs: HSSpace) -> tuple[Operator, Operator]:
+def _shell_rotation(
+    gens: SU2Generators, lam: tuple[float, ...], hs: HSSpace
+) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """u = exp(-i lam.J) and u^dag on the complete shells (m + n <= N-2),
     which every rotation keeps: the covariance and noncovariance checks of
     one rotation share a single exponential."""
     gen = sum(l * restrict(j, hs.complete_shell_indices) for l, j in zip(lam, gens.as_tuple()))
-    u = expm(Operator(-1j * gen))
-    return u, u.dag()
+    return _unitary_pair(Operator(-1j * gen))
+
+
+def _aligned_rows(mats) -> np.ndarray:
+    """Entries of each CSR matrix (sorted, no stored zeros), one row each,
+    aligned on the union of their non-zero patterns in row-major order."""
+    keys = []
+    for m in mats:
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        keys.append(rows * m.shape[1] + m.indices)
+    union = np.sort(np.concatenate(keys))
+    union = union[np.diff(union, prepend=-1) != 0]
+    out = np.zeros((len(mats), union.size), dtype=np.complex128)
+    for row, k, m in zip(out, keys, mats):
+        row[union.searchsorted(k)] = m.data
+    return out
 
 
 def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> np.ndarray:
@@ -196,8 +231,8 @@ def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> n
     fits of the rows are those of the whole matrices."""
     ix = hs.complete_shell_indices
     u, ud = _shell_rotation(gens, tuple(float(x) for x in lam), hs)
-    ops = [Operator(restrict(op, ix)) for op in ops]
-    return block_values(ops + [u @ op @ ud for op in ops], np.arange(ix.size))
+    ops = [restrict(op, ix) for op in ops]
+    return _aligned_rows(ops + [_conjugate(u, op, ud) for op in ops])
 
 
 def _span_fit(targets: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

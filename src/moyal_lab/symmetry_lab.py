@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
-from .operator_core import Operator, commutator
+from .operator_core import Operator, commutator, from_entries
 from .moyal_rep import HSSpace, HSState, RepOperators, block_norm, block_values, row_norm
 from .oscillator_models import OscParams, h2, h3
 from .schwinger_su2 import SU2Generators
@@ -39,18 +38,14 @@ def theta_apply(psi: HSState) -> HSState:
 def theta_conjugate(op: Operator, hs: HSSpace) -> Operator:
     """Theta O Theta^{-1} via the swap-conjugate formula.
 
-    S maps index m N + n to n N + m, so S conj(O) S is conj(O) with rows
-    and columns both permuted that way, by one sort of the moved keys.
+    S maps index m N + n to n N + m, so S conj(O) S is conj(O) with each
+    entry moved to the swapped row and column.
     """
     if op.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {op.dim} vs {hs.dim}")
-    dim, m = hs.dim, op.mat
-    perm = np.arange(dim, dtype=m.indices.dtype).reshape(hs.levels, hs.levels).T.ravel()
-    counts = np.diff(m.indptr)
-    cols = perm[m.indices]
-    order = np.argsort(np.repeat(perm.astype(np.int64), counts) * dim + cols)
-    indptr = np.append(0, np.cumsum(counts[perm])).astype(m.indptr.dtype)
-    return Operator(scipy.sparse.csr_array((m.data[order].conj(), cols[order], indptr), shape=(dim, dim)))
+    perm = np.arange(hs.dim).reshape(hs.levels, hs.levels).T.ravel()
+    rows, cols, values = op.entries()
+    return from_entries(hs.dim, perm[rows], perm[cols], values.conj())
 
 
 def su2_commutant(h: Operator, gens: SU2Generators, hs: HSSpace) -> tuple[float, float, float]:
@@ -93,9 +88,16 @@ def time_reversal_suite(
     H2 is invariant, and the H3 defect is exactly minus twice the Zeeman
     term mu theta omega^2 J3 (recorded as ``zeeman_difference_residual``).
     """
+    return _reversal_report(rep, gens, p, hs, h2(hs, p))
+
+
+def _reversal_report(
+    rep: RepOperators, gens: SU2Generators, p: OscParams, hs: HSSpace, ham2: Operator
+) -> SymmetryReport:
+    """``time_reversal_suite`` with ``ham2 = h2(hs, p)`` already built."""
     theta = hs.theta
     ham3 = h3(hs, p)
-    base = (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2, gens.J3, h2(hs, p), ham3)
+    base = (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2, gens.J3, ham2, ham3)
     rows = block_values([*base, *(theta_conjugate(op, hs) for op in base)], hs.safe_indices)
     x1, x2, x1c, x2c, p1, p2, j3, e2, e3 = rows[:9]
     tx1, tx2, tx1c, tx2c, tp1, tp2, tj3, te2, te3 = rows[9:]

@@ -2,11 +2,11 @@
 
 ``tests/golden/`` holds ``--no-timestamp`` reports of eight requests at
 N = 9, 12, 32, 33, 96 and 128 (two at odd N), with two thetas in each
-sweep.  Their numbers come from sparse products and from numpy sums and norms
-on aligned safe-block values (no LAPACK call), so on one machine and
-numpy and scipy version every byte is reproducible; a change of those
-kernels may require regenerating them, by running the requests below
-with ``--out``.  Two ``ground`` reports (h3 at N = 24, h2 at N = 40) add
+sweep.  Their numbers come from numpy products on the operators' stored
+diagonals and from numpy sums and norms on aligned safe-block values (no
+LAPACK call), so on one machine and numpy and scipy version every byte is
+reproducible; a change of those kernels may require regenerating them, by
+running the requests below with ``--out``.  Two ``ground`` reports (h3 at N = 24, h2 at N = 40) add
 the sector eigensolver and the ground-state flow.
 """
 

@@ -5,7 +5,10 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_diagonals
+
 from moyal_lab.operator_core import (
+    Diagonals,
     FockSpace,
     Operator,
     TridiagonalBlocks,
@@ -41,9 +44,16 @@ class TestOperator:
             Operator(np.array([[np.nan, 0], [0, 1]]))
 
     def test_matrix_is_read_only(self):
+        """The stored diagonals are read-only; ``mat`` is a new matrix each
+        time, so writing to it leaves the operator as it was."""
         op = identity(3)
-        with pytest.raises(ValueError):
-            op.mat[0, 0] = 5.0
+        for part in (op.offsets, op.diagonals):
+            with pytest.raises(ValueError):
+                part[0] = 5
+        m = op.mat
+        assert m is not op.mat
+        m[0, 0] = 5.0
+        assert np.array_equal(op.toarray(), np.eye(3))
 
     def test_stored_zeros_dropped(self):
         # The pattern is the non-zero pattern: a stored zero linking the two
@@ -75,11 +85,32 @@ class TestOperator:
             Operator(m)
 
     def test_adopted_input_becomes_read_only(self):
+        """Diagonals are adopted as given and made read-only; a matrix input
+        is copied into diagonals, and ``mat`` gives it back as canonical CSR."""
+        values = np.array([[0, 0, -3], [4, 5, 6], [1j, 2, 0]], dtype=complex)
+        op = Operator(Diagonals(np.array([-2, 0, 1]), values))
+        assert op.diagonals is values and not values.flags.writeable
+        assert np.array_equal(op.toarray(), [[4, 1j, 0], [0, 5, 2], [-3, 0, 6]])
         m = scipy.sparse.csr_array(np.array([[1, 2j], [0, 3]]))
         op = Operator(m)
-        assert op.mat is m
-        for part in (m.data, m.indices, m.indptr):
-            assert not part.flags.writeable
+        assert m.data.flags.writeable
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.mat, part), getattr(m, part))
+        assert op.mat.has_canonical_format
+
+    @pytest.mark.parametrize(
+        "offsets, values",
+        [([1, 0], np.eye(2)), ([0, 0], np.eye(2)), ([1], [[1.0, 1.0]]), ([-1], [[1.0, 0.0]]), ([0], [[1.0, np.inf]])],
+    )
+    def test_rejects_invalid_diagonals(self, offsets, values):
+        # Unsorted or repeated offsets, entries outside the matrix, non-finite entries.
+        with pytest.raises(ValueError):
+            Operator(Diagonals(np.array(offsets), np.array(values, dtype=complex)))
+
+    def test_all_zero_diagonals_dropped(self):
+        op = Operator(Diagonals(np.array([-1, 0, 5]), np.array([[0, 2, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)))
+        assert op.offsets.tolist() == [-1] and op.dim == 3
+        assert (op - op).offsets.size == 0 and (op - op).dim == 3
 
     def test_other_inputs_made_canonical_complex_csr(self):
         dense = np.array([[0.0, 2.0], [3.0, 0.0]])
@@ -112,6 +143,50 @@ class TestOperator:
         assert a.trace() == pytest.approx(3)
         assert a.norm() == pytest.approx(np.sqrt(6))
         assert np.allclose(a.dag().toarray(), a.toarray().conj().T)
+
+
+def _canonical(m) -> scipy.sparse.csr_array:
+    m = scipy.sparse.csr_array(m)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def _assert_same_csr(got: scipy.sparse.csr_array, ref) -> None:
+    ref = _canonical(ref)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
+
+
+class TestDiagonalsMatchCSR:
+    """Operations on stored diagonals against scipy's CSR results, bit for bit
+    (stored zeros aside, which neither form keeps)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("levels", [3, 5, 12])
+    def test_products(self, levels, seed):
+        rng = np.random.default_rng(seed)
+        for left, right in ((1, 1), (2, 5), (4, 4), (6, 3), (8, 8), (9, 8)):
+            a = random_diagonals(levels, min(left, 2 * levels**2 - 1), rng)
+            b = random_diagonals(levels, min(right, 2 * levels**2 - 1), rng)
+            _assert_same_csr((a @ b).mat, a.mat @ b.mat)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("levels", [3, 5, 12])
+    def test_sums_scalars_adjoint_norm_trace(self, levels, seed):
+        rng = np.random.default_rng(100 + seed)
+        s = complex(*rng.normal(size=2))
+        for left, right in ((1, 1), (3, 3), (5, 2), (8, 8)):
+            a = random_diagonals(levels, left, rng)
+            b = random_diagonals(levels, right, rng)
+            for got, ref in (
+                (a + b, a.mat + b.mat), (a - b, a.mat - b.mat), (a - a, a.mat - a.mat), (-a, -a.mat),
+                (a * s, a.mat * s), (s * a, a.mat * s), (a / s, a.mat / s), (a / 2.0, a.mat / 2.0),
+                (a.dag(), a.mat.conj().T),
+            ):
+                _assert_same_csr(got.mat, ref)
+            assert a.norm() == np.linalg.norm(a.mat.data)
+            assert a.trace() == complex(a.mat.trace())
 
 
 class TestAnnihilator:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from conftest import random_diagonals
 from moyal_lab.operator_core import Operator, commutator
 from moyal_lab.moyal_rep import (
     HSSpace,
@@ -113,7 +114,20 @@ def random_sparse(dim: int, rng: np.random.Generator) -> Operator:
 
 
 class TestThetaConjugateStorage:
-    """The key-sort construction against conj(O) permuted by fancy indexing."""
+    """The entry relabelling against conj(O) permuted by fancy indexing."""
+
+    @pytest.mark.parametrize("levels", [4, 5, 12])
+    def test_diagonal_operators_equal_permuted_conjugate(self, levels):
+        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
+        rng = np.random.default_rng(levels)
+        perm = np.arange(space.dim).reshape(space.levels, space.levels).T.ravel()
+        for count in (1, 3, 8):
+            op = random_diagonals(space.levels, count, rng)
+            ref = op.mat.conj()[perm][:, perm]
+            ref.sort_indices()
+            got = theta_conjugate(op, space).mat
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(ref, part))
 
     @pytest.mark.parametrize("levels", [4, 5, 12, 33])
     def test_equals_permuted_conjugate(self, levels):
