@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operator_core import Operator, adjoint, annihilator, commutator, from_entries, identity
+from .operator_core import Operator, TridiagonalBlocks, adjoint, annihilator, commutator, expm, from_entries
 from .moyal_rep import (
     HSSpace,
     HSState,
@@ -124,17 +123,14 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     D keeps d = m - n and maps (m, n) to (m + 1, n + 1) with
     i sqrt((m + 1)(n + 1)): on sector d it is S J S^dag, with J the
     zero-diagonal ``sector_blocks`` chain (beta = 1, equal for d and -d)
-    and S = diag(i^k).  With J = V diag(w) V^T a block is the real matrix
-    (S V) e^(-i c phi w) (S V)^dag.  phi = 0 gives the identity exactly."""
-    if phi == 0.0:
-        return identity(hs.dim)
-    t, n = dilatation_scaling_constant() * phi, hs.levels
+    and S = diag(i^k), so a block is the real matrix
+    S e^(-i c phi J) S^dag.  phi = 0 gives the identity exactly."""
+    n = hs.levels
     chains = sector_blocks(n, 0.0, 1.0, 0.0).blocks
     exps = []
-    for _, diag, off in chains[n - 1:]:
-        w, v = scipy.linalg.eigh_tridiagonal(diag, off)
-        sv = v * np.array([1, 1j, -1, -1j])[np.arange(w.size) % 4, None]
-        exps.append(((sv * np.exp(-1j * t * w)) @ sv.conj().T).real.ravel())
+    for e in expm(TridiagonalBlocks(hs.dim, chains[n - 1:]), dilatation_scaling_constant() * phi):
+        s = np.array([1, 1j, -1, -1j])[np.arange(len(e)) % 4]
+        exps.append((s[:, None] * e * s.conj()).real.ravel())
     coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
     vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
     return from_entries(hs.dim, *coords, vals)

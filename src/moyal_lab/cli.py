@@ -459,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ArithmeticError as exc:
+        sys.stderr.write(f"error: parameters outside the floating-point range ({type(exc).__name__}: {exc})\n")
+        return 2
 
 
 def entry_point() -> None:

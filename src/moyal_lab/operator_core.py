@@ -2,17 +2,16 @@
 
 Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
-ladder matrices, adjoints, commutators, Kronecker products and the
-exponential of a Hermitian or anti-Hermitian generator, taken block by
-block (it serves the su(2) shell rotations; the dilatation unitary comes
-from its J3-sector chains).  Every ladder polynomial is a few diagonals of
-the matrix, so operators are held as their non-zero diagonals: products,
-sums, adjoints, traces and norms are numpy operations on those, and a
-compressed sparse row matrix or a dense array is made only on request.
-Hamiltonians with a conserved quantity are held block by block as real
-symmetric tridiagonal blocks, and the spectral solvers take them in that
-form; a dense Hermitian eigensolver with deterministic eigenvector phases
-remains for operators.
+ladder matrices, adjoints, commutators and Kronecker products.  Every
+ladder polynomial is a few diagonals of the matrix, so operators are held
+as their non-zero diagonals: products, sums, adjoints, traces and norms
+are numpy operations on those, and a compressed sparse row matrix or a
+dense array is made only on request.  Operators with a conserved quantity
+are held block by block as real symmetric tridiagonal blocks (the J3
+sectors of the Hamiltonians and of the dilatation, the spin-j shells of an
+su(2) rotation generator); the spectral solvers and the exponential
+exp(-i t J) take them in that form.  A dense Hermitian eigensolver with
+deterministic eigenvector phases remains for operators.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "FockSpace",
@@ -38,15 +36,12 @@ __all__ = [
     "commutator",
     "tensor",
     "expm",
-    "invariant_blocks",
     "hermitian_eig",
     "hermitian_eigvals",
     "hermitian_ground",
 ]
 
-# Scale-relative tolerances of expm's Hermitian / anti-Hermitian test and
-# of hermitian_eig's input check.
-EXPM_RTOL = 1e-12
+# Scale-relative tolerance of hermitian_eig's input check.
 HERMITICITY_RTOL = 1e-10
 # Products with more diagonal pairs than this (dense-ish operands, such as
 # random test matrices) go through scipy's CSR product, which does less work.
@@ -321,51 +316,18 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(scipy.sparse.kron(a.mat, b.mat))
 
 
-def invariant_blocks(m) -> list[np.ndarray]:
-    """Basis index sets that m maps into themselves.
-
-    They are the connected components of the non-zero pattern of m, so m
-    is block diagonal on them up to a permutation of the basis.  Each set
-    is ascending, and the sets are ordered by their smallest index.
-    """
-    _, labels = connected_components(scipy.sparse.csr_array(m != 0), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
-
-def _expm_hermitian(m: scipy.sparse.csr_array, factor: complex) -> scipy.sparse.csr_array:
-    """exp(factor h) for Hermitian h = m, one dense invariant block at a time."""
-    blocks = invariant_blocks(m)
-    order = np.concatenate(blocks)
-    p = m[order][:, order].tocoo()  # block diagonal, rows in order
-    starts = np.cumsum([0] + [index.size for index in blocks])
-    exps = []
-    parts = np.split(np.arange(p.nnz), np.searchsorted(p.row, starts[1:-1]))
-    for lo, hi, part in zip(starts, starts[1:], parts):
-        h = np.zeros((hi - lo, hi - lo), dtype=np.complex128)
-        h[p.row[part] - lo, p.col[part] - lo] = p.data[part]
-        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-        exps.append((v * np.exp(factor * w)) @ v.conj().T)
-    back = np.argsort(order)
-    return scipy.sparse.block_diag(exps, format="csr")[back][:, back]
-
-
-def expm(a: Operator) -> Operator:
-    """Matrix exponential of a Hermitian or anti-Hermitian operator.
-
-    The input is diagonalized with eigh, one invariant block at a time:
-    the su(2) shell rotations keep m + n, so no block has more than N
-    levels (the dilatation unitary comes from its J3-sector chains
-    instead).  Any other input raises ValueError.
-    """
-    scale = a.norm()
-    if scale == 0.0:
-        return identity(a.dim)
-    if (a - a.dag()).norm() <= EXPM_RTOL * scale:
-        return Operator(_expm_hermitian(a.mat, 1.0))
-    if (a + a.dag()).norm() <= EXPM_RTOL * scale:
-        return Operator(_expm_hermitian(a.mat / 1j, 1j))
-    raise ValueError("expm needs a Hermitian or anti-Hermitian operator")
+def expm(h: TridiagonalBlocks, t: float) -> list[np.ndarray]:
+    """exp(-i t J) of each block J of h, as a dense array in the block's
+    basis order: with J = V diag(w) V^T it is V e^(-i t w) V^T.  t = 0
+    gives identities exactly.  Callers whose generator is S J S^dag for a
+    diagonal phase S multiply the phases in themselves."""
+    if t == 0.0:
+        return [np.eye(diag.size, dtype=np.complex128) for _, diag, _ in h.blocks]
+    out = []
+    for _, diag, off in h.blocks:
+        w, v = scipy.linalg.eigh_tridiagonal(diag, off)
+        out.append((v * np.exp(-1j * t * w)) @ v.T)
+    return out
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:

@@ -14,14 +14,16 @@ noncommuting positions (covariant only under the J3 rotation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
-from .operator_core import FockSpace, Operator, adjoint, annihilator, commutator, expm, identity, tensor
-from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, ladders, restrict
+from .operator_core import (
+    FockSpace, Operator, TridiagonalBlocks, adjoint, annihilator, commutator, expm, from_entries, identity, tensor,
+)
+from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, ladders
 
 __all__ = [
     "SU2Generators",
@@ -172,67 +174,103 @@ def rotation_matrix(lam) -> np.ndarray:
 def conjugate_by_rotation(gens: SU2Generators, ops, lam) -> list[Operator]:
     """Conjugate each operator: O -> exp(-i lam.J) O exp(+i lam.J).
 
-    The generators keep m + n, so u is block diagonal on the spin-j
-    shells, and the phase-space operators step one level at a time; both
-    are sparse, so the two products cost O(N^4) instead of the dense O(N^6).
+    The generators keep m + n, so u is block diagonal on the 2N - 1 spin-j
+    shells (those above m + n = N - 1 are truncated chains): each block of
+    O between two shells is conjugated on its own and scattered back.  The
+    phase-space operators step m + n by one, so that costs O(N^4) instead
+    of the dense O(N^6).
     """
-    lam = np.asarray(lam, dtype=float)
-    gen = sum(l * j.mat for l, j in zip(lam, gens.as_tuple()))
-    u, ud = _unitary_pair(Operator(-1j * gen))
-    return [Operator(_conjugate(u, op.mat, ud)) for op in ops]
-
-
-def _unitary_pair(gen: Operator) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
-    """exp(gen) and its adjoint as canonical CSR matrices: a rotation is
-    dense on each shell, so its products stay in scipy's CSR form."""
-    u = expm(gen).mat
-    return u, u.conj().T.tocsr()
-
-
-def _conjugate(u, op, ud) -> scipy.sparse.csr_array:
-    """u @ op @ ud, with the inner product's columns sorted as the left
-    factor of a CSR product must be for canonical summation order."""
-    inner = u @ op
-    inner.sort_indices()
-    return inner @ ud
-
-
-@lru_cache(maxsize=1)
-def _shell_rotation(
-    gens: SU2Generators, lam: tuple[float, ...], hs: HSSpace
-) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
-    """u = exp(-i lam.J) and u^dag on the complete shells (m + n <= N-2),
-    which every rotation keeps: the covariance and noncovariance checks of
-    one rotation share a single exponential."""
-    gen = sum(l * restrict(j, hs.complete_shell_indices) for l, j in zip(lam, gens.as_tuple()))
-    return _unitary_pair(Operator(-1j * gen))
-
-
-def _aligned_rows(mats) -> np.ndarray:
-    """Entries of each CSR matrix (sorted, no stored zeros), one row each,
-    aligned on the union of their non-zero patterns in row-major order."""
-    keys = []
-    for m in mats:
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        keys.append(rows * m.shape[1] + m.indices)
-    union = np.sort(np.concatenate(keys))
-    union = union[np.diff(union, prepend=-1) != 0]
-    out = np.zeros((len(mats), union.size), dtype=np.complex128)
-    for row, k, m in zip(out, keys, mats):
-        row[union.searchsorted(k)] = m.data
+    levels = math.isqrt(gens.J3.dim)
+    u = _shell_rotation(gens, tuple(float(x) for x in lam), levels, 2 * levels - 1)
+    stack, deltas = _shell_blocks(list(ops), levels, 2 * levels - 1)
+    _conjugate_blocks(u, stack, deltas)
+    out = []
+    for blocks in stack:
+        k, s, a, b = np.nonzero(blocks)
+        rows, cols = s + deltas[k] + a * (levels - 1), s + b * (levels - 1)
+        out.append(from_entries(gens.J3.dim, rows, cols, blocks[k, s, a, b]))
     return out
 
 
+@lru_cache(maxsize=1)
+def _shell_rotation(gens: SU2Generators, lam: tuple[float, ...], levels: int, shells: int) -> np.ndarray:
+    """u = exp(-i lam.J) on the shells m + n < shells, as a read-only
+    (shells, L, L) stack, L = min(shells, levels): block s is u on shell s
+    indexed by m, and zero where m is off the shell.
+
+    The basis of shell s is m ascending at index s + m (N - 1), and lam.J
+    keeps m + n, so its only diagonals are 0 and +-(N - 1) (any other
+    offset raises ValueError): on a shell it is a Hermitian chain
+    S J S^dag, with J real tridiagonal and S a diagonal phase.  The
+    covariance and noncovariance checks of one rotation share this single
+    exponential.
+    """
+    n = levels
+    if gens.J3.dim != n * n:
+        raise ValueError(f"generators of dimension {gens.J3.dim} do not act on N = {n} levels")
+    if not np.isin(np.concatenate([j.offsets for j in gens.as_tuple()]), (1 - n, 0, n - 1)).all():
+        raise ValueError("rotation generators must keep m + n")
+    gen = lam[0] * gens.J1 + lam[1] * gens.J2 + lam[2] * gens.J3
+    diagonal = dict(zip(gen.offsets.tolist(), gen.diagonals))
+    zero = np.zeros(gen.dim, dtype=np.complex128)
+    main, upper = diagonal.get(0, zero).real, diagonal.get(n - 1, zero)
+    ms = [np.arange(max(0, s - n + 1), min(s, n - 1) + 1) for s in range(shells)]
+    chains, phases = [], []
+    for s, m in enumerate(ms):
+        index = s + m * (n - 1)
+        off = upper[index[:-1]]
+        chains.append((index, main[index], np.abs(off)))
+        # S_{k+1} = S_k e^(-i arg off_k) makes the chain real.
+        phases.append(np.exp(-1j * np.append(0.0, np.cumsum(np.angle(off)))))
+    u = np.zeros((shells, min(shells, n), min(shells, n)), dtype=np.complex128)
+    for block, m, p, e in zip(u, ms, phases, expm(TridiagonalBlocks(gen.dim, tuple(chains)), 1.0)):
+        block[m[0]:m[-1] + 1, m[0]:m[-1] + 1] = p[:, None] * e * p.conj()
+    u.setflags(write=False)
+    return u
+
+
+def _shell_blocks(ops: list[Operator], levels: int, shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of each op between the shells m + n < shells, as an
+    (ops, deltas, shells, L, L) stack and the ascending shell changes
+    ``deltas`` of all of them: [i, k, s] is the block of op i from shell s
+    to shell s + deltas[k], indexed by m as in ``_shell_rotation``."""
+    n, width = levels, min(shells, levels)
+    parts = []
+    for op in ops:
+        if op.dim != n * n:
+            raise ValueError(f"dimension mismatch: {op.dim} vs {n * n}")
+        rows, cols, values = op.entries()
+        (mr, nr), (mc, nc) = np.divmod(rows, n), np.divmod(cols, n)
+        keep = (mr + nr < shells) & (mc + nc < shells)
+        parts.append(((mr + nr - mc - nc)[keep], (mc + nc)[keep], mr[keep], mc[keep], values[keep]))
+    deltas = np.unique(np.concatenate([part[0] for part in parts]))
+    stack = np.zeros((len(ops), deltas.size, shells, width, width), dtype=np.complex128)
+    for block, (delta, s, mr, mc, values) in zip(stack, parts):
+        block[deltas.searchsorted(delta), s, mr, mc] = values
+    return stack, deltas
+
+
+def _conjugate_blocks(u: np.ndarray, stack: np.ndarray, deltas: np.ndarray) -> None:
+    """Replace every block O_{s+delta,s} of a ``_shell_blocks`` stack by
+    u_{s+delta} O_{s+delta,s} u_s^dag."""
+    shells, ud = u.shape[0], u.conj().transpose(0, 2, 1)
+    for k, d in enumerate(deltas.tolist()):
+        lo, hi = max(0, -d), min(shells, shells - d)
+        stack[:, k, lo:hi] = u[lo + d:hi + d] @ stack[:, k, lo:hi] @ ud[lo:hi]
+
+
 def _shell_rows(gens: SU2Generators, ops: list[Operator], lam, hs: HSSpace) -> np.ndarray:
-    """Aligned values of ops and then of their rotations on the complete
-    shells: restricting generators and ops to them first gives the same
-    conjugates there for half the work.  Entries outside the union of the
-    non-zero patterns are zero in every row, so norms and least-squares
-    fits of the rows are those of the whole matrices."""
-    ix = hs.complete_shell_indices
-    u, ud = _shell_rotation(gens, tuple(float(x) for x in lam), hs)
-    ops = [restrict(op, ix) for op in ops]
-    return _aligned_rows(ops + [_conjugate(u, op, ud) for op in ops])
+    """Values of ops and then of their rotations on the complete shells
+    (m + n <= N - 2), one flattened block stack per row: those shells are
+    closed under the generators, so the conjugates there need nothing
+    outside them.  Columns zero in every row (the padding among them) are
+    dropped; they change no norm or least-squares fit of the rows."""
+    shells = hs.levels - 1
+    u = _shell_rotation(gens, tuple(float(x) for x in lam), hs.levels, shells)
+    stack, deltas = _shell_blocks(ops + ops, hs.levels, shells)
+    _conjugate_blocks(u, stack[len(ops):], deltas)
+    rows = stack.reshape(2 * len(ops), -1)
+    return rows[:, rows.any(axis=0)]
 
 
 def _span_fit(targets: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -503,6 +503,26 @@ class TestInfeasibleInputs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symmetry", "--theta", "1e300"],
+            ["spectrum", "--model", "h2", "--omega", "1e200"],
+            ["sweep", "--omega", "1e200"],
+            ["converge", "--model", "h3", "--theta", "1e300"],
+            ["algebra", "--theta", "1e-300"],
+            ["algebra", "--theta", "1e200"],
+        ],
+    )
+    def test_overflowing_parameters_exit_2(self, tmp_path, capsys, argv):
+        # These overflow in the parameter identities, or underflow both
+        # product norms of the algebra gate to 0.
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameters outside the floating-point range")
+        assert not out.exists()
+
 class TestDeterminism:
     def test_byte_identical_without_timestamp(self, tmp_path, capsys):
         args = ["symmetry", "--truncation", "10", "--no-timestamp"]

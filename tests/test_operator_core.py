@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +24,6 @@ from moyal_lab.operator_core import (
     hermitian_eigvals,
     hermitian_ground,
     identity,
-    invariant_blocks,
     tensor,
 )
 
@@ -57,13 +60,13 @@ class TestOperator:
 
     def test_stored_zeros_dropped(self):
         # The pattern is the non-zero pattern: a stored zero linking the two
-        # levels would otherwise merge expm's two 1 x 1 blocks.
+        # levels leaves no diagonal behind.
         m = scipy.sparse.csr_array(
             (np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]), np.array([0, 2, 3])), shape=(2, 2)
         )
         op = Operator(m)
         assert op.mat.nnz == 2
-        assert np.allclose(expm(1j * op).toarray(), np.diag(np.exp([2j, 3j])))
+        assert op.offsets.tolist() == [0]
         assert np.array_equal(Operator(op.mat).toarray(), op.toarray())
 
     def test_exact_cancellation_stores_no_zeros(self):
@@ -227,49 +230,56 @@ class TestTensor:
         assert np.allclose(lhs.toarray(), rhs.toarray())
 
 
+def _chains(rng, sizes, scale=1.0):
+    """Random real tridiagonal blocks of the given sizes on a shuffled
+    basis, and the same operator as a dense matrix."""
+    dim = sum(sizes)
+    blocks, m = [], np.zeros((dim, dim))
+    for index in np.split(rng.permutation(dim), np.cumsum(sizes)[:-1]):
+        diag, off = scale * rng.normal(size=index.size), scale * rng.normal(size=index.size - 1)
+        blocks.append((index, diag, off))
+        m[np.ix_(index, index)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return TridiagonalBlocks(dim, tuple(blocks)), m
+
+
+def _scatter(h, exps):
+    """The block exponentials of ``expm(h, t)`` as one dense matrix."""
+    out = np.zeros((h.dim, h.dim), dtype=complex)
+    for (index, _, _), e in zip(h.blocks, exps):
+        out[np.ix_(index, index)] = e
+    return out
+
+
 class TestExpm:
     def test_zero_gives_identity(self):
-        assert np.allclose(expm(Operator(np.zeros((4, 4)))).toarray(), np.eye(4))
+        h, _ = _chains(np.random.default_rng(0), [1, 3, 4])
+        for (_, diag, _), e in zip(h.blocks, expm(h, 0.0)):
+            assert np.array_equal(e, np.eye(diag.size))
 
     def test_diagonal_oracle(self):
-        d = Operator(np.diag([1.0, -2.0, 0.5]).astype(complex))
-        assert np.allclose(expm(d).toarray(), np.diag(np.exp([1.0, -2.0, 0.5])))
+        d = np.array([1.0, -2.0, 0.5])
+        h = TridiagonalBlocks(3, tuple((np.array([k]), d[k:k + 1], np.zeros(0)) for k in range(3)))
+        assert np.allclose(_scatter(h, expm(h, 0.7)), np.diag(np.exp(-0.7j * d)))
 
     def test_antihermitian_gives_unitary(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = h + h.conj().T
-        u = expm(Operator(1j * h))
-        assert np.allclose((u @ u.dag()).toarray(), np.eye(5), atol=1e-12)
+        h, _ = _chains(np.random.default_rng(0), [5, 2])
+        u = _scatter(h, expm(h, 1.3))
+        assert np.allclose(u @ u.conj().T, np.eye(7), atol=1e-12)
 
-    def test_rejects_non_normal(self):
-        # Nilpotent upper triangular matrix: neither Hermitian nor anti-Hermitian.
-        m = np.array([[0, 3.0], [0, 0]], dtype=complex)
+    def test_rejects_non_finite(self):
+        h = TridiagonalBlocks(2, ((np.arange(2), np.array([0.0, np.nan]), np.ones(1)),))
         with pytest.raises(ValueError):
-            expm(Operator(m))
+            expm(h, 1.0)
 
     def test_matches_series_oracle(self):
-        rng = np.random.default_rng(3)
-        a = 0.1 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        for m in (a + a.conj().T, 1j * (a + a.conj().T)):
+        h, m = _chains(np.random.default_rng(3), [4], scale=0.1)
+        for t in (1.0, -1.0):
             series = np.eye(4, dtype=complex)
             term = np.eye(4, dtype=complex)
             for k in range(1, 30):
-                term = term @ m / k
+                term = term @ (-1j * t * m) / k
                 series = series + term
-            assert np.allclose(expm(Operator(m)).toarray(), series, atol=1e-13)
-
-
-def _planted_blocks(rng, sizes):
-    """Hermitian matrix with dense blocks of the given sizes on a shuffled
-    basis, and the blocks' index sets as sorted lists."""
-    dim = sum(sizes)
-    blocks = np.split(rng.permutation(dim), np.cumsum(sizes)[:-1])
-    m = np.zeros((dim, dim), dtype=complex)
-    for index in blocks:
-        h = rng.normal(size=(index.size, index.size)) + 1j * rng.normal(size=(index.size, index.size))
-        m[np.ix_(index, index)] = h + h.conj().T
-    return m, sorted(sorted(b.tolist()) for b in blocks)
+            assert np.allclose(_scatter(h, expm(h, t)), series, atol=1e-13)
 
 
 class TestBlockExpm:
@@ -277,28 +287,18 @@ class TestBlockExpm:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_blocks(self, seed):
-        rng = np.random.default_rng(seed)
-        m, blocks = _planted_blocks(rng, [1, 5, 2, 4, 1, 3])
-        m *= 0.3
-        assert [b.tolist() for b in invariant_blocks(m)] == blocks
-        for gen in (m, 1j * m):
-            exact = scipy.linalg.expm(gen)
-            assert np.max(np.abs(expm(Operator(gen)).toarray() - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
+        h, m = _chains(np.random.default_rng(seed), [1, 5, 2, 4, 1, 3], scale=0.3)
+        for t in (1.0, -3.0):
+            exact = scipy.linalg.expm(-1j * t * m)
+            assert np.max(np.abs(_scatter(h, expm(h, t)) - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_dense_block(self, seed):
-        rng = np.random.default_rng(seed)
-        m, _ = _planted_blocks(rng, [12])
-        m *= 0.1
-        assert len(invariant_blocks(m)) == 1
-        for gen in (m, 1j * m):
-            exact = scipy.linalg.expm(gen)
-            assert np.max(np.abs(expm(Operator(gen)).toarray() - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
-
-    def test_zero_rows_are_singleton_blocks(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[1, 3] = m[3, 1] = 2.0
-        assert [b.tolist() for b in invariant_blocks(m)] == [[0], [1, 3], [2]]
+        h, m = _chains(np.random.default_rng(seed), [12], scale=0.1)
+        assert len(h.blocks) == 1
+        for t in (1.0, -1.0):
+            exact = scipy.linalg.expm(-1j * t * m)
+            assert np.max(np.abs(_scatter(h, expm(h, t)) - exact)) <= 1e-12 * max(1.0, np.abs(exact).max())
 
 
 class TestHermitianEig:
@@ -381,8 +381,20 @@ def test_commutator_antisymmetry(seed):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_expm_inverse_property(seed):
-    rng = np.random.default_rng(seed)
-    a = 0.25 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    for m in (a + a.conj().T, 1j * (a + a.conj().T)):
-        prod = expm(Operator(m)) @ expm(Operator(-m))
-        assert np.allclose(prod.toarray(), np.eye(4), atol=1e-11)
+    h, _ = _chains(np.random.default_rng(seed), [1, 4], scale=0.5)
+    for t in (1.0, -2.5):
+        prod = _scatter(h, expm(h, t)) @ _scatter(h, expm(h, -t))
+        assert np.allclose(prod, np.eye(5), atol=1e-11)
+
+
+def test_import_leaves_csgraph_unloaded():
+    """``import moyal_lab`` does not load scipy.sparse.csgraph (about 23 ms
+    and 1 MB): every block the package solves is known from a conserved
+    quantity, so none is found from a sparsity pattern."""
+    import moyal_lab
+
+    src = os.path.dirname(os.path.dirname(moyal_lab.__file__))
+    code = "import sys, moyal_lab; print('scipy.sparse.csgraph' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moyal_lab import schwinger_su2
-from moyal_lab.operator_core import Operator, commutator, expm, identity, invariant_blocks
+from moyal_lab.bogoliubov_flow import bogoliubov_pair
+from moyal_lab.operator_core import Operator, commutator, expm, identity
 from moyal_lab.moyal_rep import (
     HSSpace,
     ModelConfig,
@@ -29,6 +31,7 @@ from moyal_lab.schwinger_su2 import (
     position_noncovariance,
     rotation_matrix,
     schwinger_commutative,
+    schwinger_from_ladders,
     schwinger_noncommutative,
 )
 
@@ -179,10 +182,9 @@ class TestRotations:
 
 
 def rotation_matrix_expm(lam) -> np.ndarray:
-    """The sparse-expm form that the closed-form ``rotation_matrix`` replaced."""
-    lam = np.asarray(lam, dtype=float)
-    gen = sum(l * j.mat for l, j in zip(lam, phase_space_generators().as_tuple()))
-    return expm(Operator(1j * gen)).toarray().real
+    """exp(i lam.J4) from scipy's dense scaling-and-squaring exponential."""
+    gen = sum(l * j.toarray() for l, j in zip(lam, phase_space_generators().as_tuple()))
+    return scipy.linalg.expm(1j * gen).real
 
 
 def rotation_series(lam) -> np.ndarray:
@@ -216,9 +218,8 @@ class TestRotationClosedForm:
             assert np.abs(g @ g - half2 * np.eye(4)).max() <= 1e-15 * half2
 
     def test_matches_expm_form(self):
-        """Within the expm form's own error, which reaches 1.8e-15 on these
-        angles while the closed form stays within 2.2e-16 of the exact
-        rotation (40-digit reference)."""
+        """Within the dense exponential's own error (the closed form stays
+        within 2.2e-16 of the exact rotation, 40-digit reference)."""
         for lam in random_angles(np.random.default_rng(12), 200):
             assert np.abs(rotation_matrix(lam) - rotation_matrix_expm(lam)).max() <= 2e-15
 
@@ -237,9 +238,9 @@ class TestShellRotationMemo:
     def expm_calls(self, monkeypatch):
         calls = []
 
-        def counted(a):
-            calls.append(a.dim)
-            return expm(a)
+        def counted(h, t):
+            calls.append(h.dim)
+            return expm(h, t)
 
         monkeypatch.setattr(schwinger_su2, "expm", counted)
         _shell_rotation.cache_clear()
@@ -284,13 +285,41 @@ class TestShellRotationMemo:
 
 class TestShellRotations:
     def test_generators_split_into_spin_j_shells(self):
-        """A generic rotation generator keeps m + n: its invariant blocks are
-        the 2N - 1 shells, none larger than N."""
+        """A generic rotation generator keeps m + n: the connected components
+        of its non-zero pattern are the 2N - 1 shells, none larger than N."""
         space = HSSpace(ModelConfig(theta=1.0, truncation=7))
         gens = schwinger_noncommutative(space)
         gen = sum(l * j.toarray() for l, j in zip([0.4, -1.3, 0.8], gens.as_tuple()))
-        shells = [sorted({sum(space.label(k)) for k in index}) for index in invariant_blocks(gen)]
+        count, labels = connected_components(gen != 0, directed=False)
+        shells = [sorted({sum(space.label(k)) for k in np.flatnonzero(labels == c)}) for c in range(count)]
         assert sorted(shells) == [[s] for s in range(2 * 7 - 1)]
+
+    def test_primed_generators_rejected(self):
+        """Bogoliubov-mixed ladders give generators that do not keep m + n,
+        so they have no spin-j chains to exponentiate."""
+        space = HSSpace(ModelConfig(theta=1.0, truncation=8))
+        rep = build_rep(space)
+        gens = schwinger_from_ladders(*bogoliubov_pair(space, 0.3), "primed")
+        basis = dimensionless(rep, space.theta).four_tuple()
+        with pytest.raises(ValueError, match="keep m \\+ n"):
+            covariance_residual(gens, basis, [0.4, -0.9, 0.3], space)
+        with pytest.raises(ValueError, match="keep m \\+ n"):
+            position_noncovariance(gens, rep.X1, rep.X2, [0.4, -0.9, 0.3], space)
+
+    def test_commutative_generators_give_same_covariance(self):
+        """The two-mode generators on H x H are the same matrices as the
+        Hilbert-Schmidt ones, so every covariance value agrees exactly."""
+        space = HSSpace(ModelConfig(theta=0.7, truncation=9))
+        rep = build_rep(space)
+        basis = dimensionless(rep, space.theta).four_tuple()
+        lam = [0.5, 1.2, -0.4]
+        checks = []
+        for gens in (schwinger_commutative(9), schwinger_noncommutative(space)):
+            checks.append((
+                covariance_residual(gens, basis, lam, space),
+                position_noncovariance(gens, rep.X1, rep.X2, lam, space),
+            ))
+        assert checks[0] == checks[1]
 
     @settings(max_examples=20, deadline=None)
     @given(
