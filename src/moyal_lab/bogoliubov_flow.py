@@ -54,8 +54,6 @@ __all__ = [
     "intertwiner_check",
 ]
 
-TAIL_BOUND = 1e-14
-
 
 def phi_for(p: OscParams, theta: float, model: str) -> float:
     """Bogoliubov angle: exp(phi) = sqrt(mu omega theta / 2) for h2, and
@@ -177,8 +175,9 @@ def _gamma_of(phi: float) -> float:
     return -math.inf if ratio == 0.0 else math.nan
 
 
-def required_levels(phi: float, tail: float = TAIL_BOUND) -> int:
-    """Smallest N with tanh(phi)^(2N) <= tail."""
+def required_levels(phi: float) -> int:
+    """Smallest N with tanh(phi)^(2N) <= 1e-14, the ground state's tail bound."""
+    tail = 1e-14
     t = abs(math.tanh(phi))
     if t == 0.0:
         return 2

@@ -38,7 +38,7 @@ from .spectra_harness import (
     diagonalize_compare,
     ground_overlap,
 )
-from .symmetry_lab import _reversal_report, su2_commutant, time_reversal_suite
+from .symmetry_lab import su2_commutant, time_reversal_suite
 
 __all__ = ["RunConfig", "algebra_residuals", "main", "entry_point"]
 
@@ -288,14 +288,13 @@ def _sweep_row(mu: float, omega: float, hs: HSSpace, rep: RepOperators, gens: SU
     theta, levels = hs.theta, hs.levels
     p = OscParams(mu, omega)
     rp = renormalized_params(p, theta)
-    ham2 = h2(hs, p)
-    suite = _reversal_report(rep, gens, p, hs, ham2)
+    suite = time_reversal_suite(rep, gens, p, hs)
     j1r, j2r, j3r = suite.su2_residuals
     # h2 is SU(2) symmetric in its own Bogoliubov frame, so its commutant
     # residual is measured against the primed-ladder generators.
     phi_h2 = phi_for(p, theta, "h2")
     primed = schwinger_from_ladders(*bogoliubov_pair(hs, phi_h2, rep), context="primed")
-    h2_res = max(su2_commutant(ham2, primed, hs))
+    h2_res = max(su2_commutant(h2(hs, p), primed, hs))
     identity_val = (1.0 + theta * rp.lambda_plus) * (1.0 - theta * rp.lambda_minus)
     ground = (rp.lambda_plus + rp.lambda_minus) / (2.0 * mu)
     return ",".join(
@@ -455,7 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        return func(cfg)
+        with np.errstate(over="raise"):
+            return func(cfg)
     except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -283,15 +283,6 @@ class TridiagonalBlocks:
     dim: int
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
-    def to_operator(self) -> Operator:
-        """The same operator, scattered into its diagonals."""
-        rows, cols, vals = [], [], []
-        for index, diag, off in self.blocks:
-            rows += [index, index[:-1], index[1:]]
-            cols += [index, index[1:], index[:-1]]
-            vals += [diag, off, off]
-        return from_entries(self.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
 
 def identity(dim: int) -> Operator:
     return Operator(_Valid(np.zeros(1, dtype=np.int64), np.ones((1, dim), dtype=np.complex128)))

@@ -9,11 +9,12 @@ Four models:
 * ``h3``          -- the physical oscillator in the noncommuting positions,
   equal to an h2-type part with renormalized parameters plus a Zeeman term.
 
-Every Hamiltonian is built from its ladder matrix elements, one J3 sector
-at a time (``sector_hamiltonian``); ``h1``, ``h2``, ``h3`` and
-``h_commutative`` scatter the sectors into a sparse operator.  The tests
-compare the sectors against the phase-space quadratic forms, built
-on a padded space, which catches convention errors.
+Every Hamiltonian conserves J3 = (m - n) / 2 and is built from the same
+closed-form ladder matrix elements, either one J3 sector at a time
+(``sector_hamiltonian``) or as the three diagonals 0 and +-(N + 1) of an
+operator (``h1``, ``h2``, ``h3`` and ``h_commutative``).  The tests
+compare the sectors against the phase-space quadratic forms, built on a
+padded space, which catches convention errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operator_core import FockSpace, Operator, TridiagonalBlocks
+from .operator_core import Diagonals, FockSpace, Operator, TridiagonalBlocks
 from .moyal_rep import HSSpace, ModelConfig, build_rep
 from .schwinger_su2 import schwinger_noncommutative
 
@@ -134,6 +135,31 @@ def renormalized_params(p: OscParams, theta: float) -> RenormalizedParams:
     )
 
 
+def _ladder_elements(alpha: float, beta: float, zeeman: float, m: np.ndarray, n: np.ndarray):
+    """Diagonal entries at the labels (m, n), and their couplings to (m + 1, n + 1)."""
+    return alpha * (m + n + 1) + zeeman * (m - n) / 2.0, beta * np.sqrt((m + 1.0) * (n + 1.0))
+
+
+def _coefficients(model: str, p: OscParams | None, theta: float, levels: int) -> tuple[float, float, float]:
+    """Ladder coefficients (alpha, beta, zeeman) of the named model: (omega, 0, 0)
+    for the commutative model (which ignores theta), (1, 0, 0) for h1,
+    ``alpha_beta`` for h2, and for h3 an h2-type part with renormalized
+    parameters plus the Zeeman term mu theta omega^2 J3.  Raises ValueError
+    for N < 4 and theta <= 0 (N < 2 for the commutative model)."""
+    if model == "commutative":
+        FockSpace(levels)  # validates N
+        return (p.omega, 0.0, 0.0)
+    ModelConfig(theta=theta, truncation=levels)  # validates theta and N
+    if model == "h1":
+        return (1.0, 0.0, 0.0)
+    if model == "h2":
+        return (*alpha_beta(p, theta), 0.0)
+    if model == "h3":
+        dressed = OscParams(*renormalize(p, theta))
+        return (*alpha_beta(dressed, theta), p.mu * theta * p.omega**2)
+    raise ValueError(f"unknown model {model!r}")
+
+
 def sector_blocks(levels: int, alpha: float, beta: float, zeeman: float) -> TridiagonalBlocks:
     """The 2N - 1 sectors d = m - n of a quadratic Hamiltonian, d ascending.
 
@@ -151,9 +177,8 @@ def sector_blocks(levels: int, alpha: float, beta: float, zeeman: float) -> Trid
     k = np.arange(levels**2) - np.repeat(ends - sizes, sizes)
     m = k + np.maximum(d, 0)
     n = k + np.maximum(-d, 0)
-    diag = alpha * (m + n + 1) + zeeman * d / 2.0
     # Couplings to the next label; the last label of each sector has none.
-    off = beta * np.sqrt((m + 1.0) * (n + 1.0))
+    diag, off = _ladder_elements(alpha, beta, zeeman, m, n)
     index = m * levels + n
     return TridiagonalBlocks(levels**2, tuple(
         (index[lo:hi], diag[lo:hi], off[lo:hi - 1]) for lo, hi in zip((ends - sizes).tolist(), ends.tolist())
@@ -161,48 +186,42 @@ def sector_blocks(levels: int, alpha: float, beta: float, zeeman: float) -> Trid
 
 
 def sector_hamiltonian(model: str, p: OscParams | None, theta: float, levels: int) -> TridiagonalBlocks:
-    """The named model on its 2N - 1 J3 sectors, in O(N^2) memory.
+    """The named model on its 2N - 1 J3 sectors (``sector_blocks``), in O(N^2) memory."""
+    return sector_blocks(levels, *_coefficients(model, p, theta, levels))
 
-    J3 = (m - n) / 2 commutes with h1 and h2, and h3 is an h2-type part with
-    renormalized parameters plus the Zeeman term mu theta omega^2 J3.  The
-    ladder coefficients are (omega, 0) for the commutative model (which
-    ignores theta), (1, 0) for h1 and ``alpha_beta`` for h2 and h3.
-    Raises ValueError for N < 4 and theta <= 0 (N < 2 for the commutative
-    model).
-    """
-    if model == "commutative":
-        return sector_blocks(FockSpace(levels).levels, p.omega, 0.0, 0.0)
-    ModelConfig(theta=theta, truncation=levels)  # validates theta and N
-    if model == "h1":
-        coeffs = (1.0, 0.0, 0.0)
-    elif model == "h2":
-        coeffs = (*alpha_beta(p, theta), 0.0)
-    elif model == "h3":
-        dressed = OscParams(*renormalize(p, theta))
-        coeffs = (*alpha_beta(dressed, theta), p.mu * theta * p.omega**2)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return sector_blocks(levels, *coeffs)
+
+def _quadratic_operator(model: str, p: OscParams | None, theta: float, levels: int) -> Operator:
+    """The named model as its diagonals 0 and +-(N + 1), with the entries of
+    ``sector_hamiltonian``: label m N + n couples to (m + 1) N + n + 1."""
+    coeffs = _coefficients(model, p, theta, levels)
+    m, n = np.divmod(np.arange(levels**2), levels)
+    diag, off = _ladder_elements(*coeffs, m, n)
+    # (m + 1, n + 1) must lie inside the truncation: from n = N - 1 the
+    # offset N + 1 would reach the label (m + 2, 0).
+    off[(m == levels - 1) | (n == levels - 1)] = 0.0
+    step = levels + 1
+    values = np.array([np.append(np.zeros(step), off[:-step]), diag, off], dtype=np.complex128)
+    return Operator(Diagonals(np.array([-step, 0, step]), values))
 
 
 def h_commutative(levels: int, p: OscParams) -> Operator:
     """Two decoupled modes, ladder form omega (a1^dag a1 + a2^dag a2 + 1)."""
-    return sector_hamiltonian("commutative", p, 1.0, levels).to_operator()
+    return _quadratic_operator("commutative", p, 1.0, levels)
 
 
 def h1(hs: HSSpace) -> Operator:
     """Fixed-coefficient unphysical oscillator (exactly diagonal, spectrum m+n+1)."""
-    return sector_hamiltonian("h1", None, hs.theta, hs.levels).to_operator()
+    return _quadratic_operator("h1", None, hs.theta, hs.levels)
 
 
 def h2(hs: HSSpace, p: OscParams) -> Operator:
     """Unphysical (mu, omega) oscillator in the commuting coordinates."""
-    return sector_hamiltonian("h2", p, hs.theta, hs.levels).to_operator()
+    return _quadratic_operator("h2", p, hs.theta, hs.levels)
 
 
 def h3(hs: HSSpace, p: OscParams) -> Operator:
     """Physical oscillator in the noncommuting positions."""
-    return sector_hamiltonian("h3", p, hs.theta, hs.levels).to_operator()
+    return _quadratic_operator("h3", p, hs.theta, hs.levels)
 
 
 @dataclass(frozen=True)

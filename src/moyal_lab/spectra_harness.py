@@ -41,11 +41,10 @@ def _analytic_levels(formula: SpectrumFormula, levels: int) -> np.ndarray:
     return np.sort(formula.energy(m, n))
 
 
-def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> int:
+def trusted_level_count(levels: int, formula: SpectrumFormula) -> int:
     """Number of sorted levels that sit safely below the truncation edge.
 
-    Without a formula this is the simplex count m + n <= floor(N/2).  With
-    one, it counts analytic lattice energies strictly below the lowest
+    It counts the analytic lattice energies strictly below the lowest
     energy of any label outside the core max(m, n) <= floor(N/3); sorted
     order pairing is only valid up to that energy, because just above it
     the numeric list starts interleaving edge labels whose truncation
@@ -57,10 +56,6 @@ def trusted_level_count(levels: int, formula: SpectrumFormula | None = None) -> 
     sqrt(C(m+k, k) C(n+k, k)); the enhancement makes mid-lattice labels
     converge far more slowly than the bare tanh tail suggests.
     """
-    if formula is None:
-        # cut <= N - 1, so no label of the simplex is lost to the truncation.
-        cut = levels // 2
-        return (cut + 1) * (cut + 2) // 2
     cut = levels // 3
     if cut + 1 >= levels:
         return 0

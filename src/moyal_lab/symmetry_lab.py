@@ -88,15 +88,8 @@ def time_reversal_suite(
     H2 is invariant, and the H3 defect is exactly minus twice the Zeeman
     term mu theta omega^2 J3 (recorded as ``zeeman_difference_residual``).
     """
-    return _reversal_report(rep, gens, p, hs, h2(hs, p))
-
-
-def _reversal_report(
-    rep: RepOperators, gens: SU2Generators, p: OscParams, hs: HSSpace, ham2: Operator
-) -> SymmetryReport:
-    """``time_reversal_suite`` with ``ham2 = h2(hs, p)`` already built."""
     theta = hs.theta
-    ham3 = h3(hs, p)
+    ham2, ham3 = h2(hs, p), h3(hs, p)
     base = (rep.X1, rep.X2, rep.X1c, rep.X2c, rep.P1, rep.P2, gens.J3, ham2, ham3)
     rows = block_values([*base, *(theta_conjugate(op, hs) for op in base)], hs.safe_indices)
     x1, x2, x1c, x2c, p1, p2, j3, e2, e3 = rows[:9]

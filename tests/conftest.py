@@ -32,6 +32,16 @@ def random_diagonals(levels: int, count: int, rng: np.random.Generator):
     return Operator(Diagonals(offsets, values))
 
 
+def dense_blocks(h) -> np.ndarray:
+    """The ``TridiagonalBlocks`` h as a dense real matrix, block by block."""
+    mat = np.zeros((h.dim, h.dim))
+    for index, diag, off in h.blocks:
+        mat[index, index] = diag
+        mat[index[:-1], index[1:]] = off
+        mat[index[1:], index[:-1]] = off
+    return mat
+
+
 def record_criterion(line: str) -> None:
     criterion_lines.append(line)
 

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -515,13 +516,19 @@ class TestInfeasibleInputs:
         ],
     )
     def test_overflowing_parameters_exit_2(self, tmp_path, capsys, argv):
-        # These overflow in the parameter identities, or underflow both
-        # product norms of the algebra gate to 0.
+        # These overflow in the parameter identities or in numpy (a norm of
+        # the algebra gate), or underflow both product norms of that gate to
+        # 0: one error line each, and no numpy warning first.
         out = tmp_path / "report"
-        assert main([*argv, "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: parameters outside the floating-point range")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_without_timestamp(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_blocks
 from moyal_lab.bogoliubov_flow import bogoliubov_pair, c_operators, dilatation
 from moyal_lab.cli import algebra_residuals
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, build_rep, dimensionless
@@ -51,15 +52,6 @@ def swap(levels: int) -> np.ndarray:
         for n in range(levels):
             s[m * levels + n, n * levels + m] = 1.0
     return s
-
-
-def dense_sectors(model: str, p: OscParams, theta: float, levels: int) -> np.ndarray:
-    mat = np.zeros((levels**2, levels**2))
-    for index, diag, off in sector_hamiltonian(model, p, theta, levels).blocks:
-        mat[index, index] = diag
-        mat[index[:-1], index[1:]] = off
-        mat[index[1:], index[:-1]] = off
-    return mat
 
 
 def block(mat: np.ndarray, ix: np.ndarray) -> float:
@@ -139,7 +131,7 @@ def test_residuals_match_dense(levels, theta, mu, omega):
 
     x1r, x2r = 2.0 * d["X1c"] - d["X1"], 2.0 * d["X2c"] - d["X2"]
     j3 = 0.5 * (d["B_Ldag"] @ d["B_L"] - d["B_R"] @ d["B_Rdag"])
-    ham2, ham3 = dense_sectors("h2", p, theta, levels), dense_sectors("h3", p, theta, levels)
+    ham2, ham3 = (dense_blocks(sector_hamiltonian(m, p, theta, levels)) for m in ("h2", "h3"))
     rules = {
         "X1L_shear": tr(d["X1"]) - (d["X1"] + theta * d["P2"]),
         "X2L_shear": tr(d["X2"]) - (d["X2"] - theta * d["P1"]),

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moyal_lab.operator_core import Operator, adjoint, annihilator, commutator, identity
-from moyal_lab.spectra_harness import trusted_level_count
 from moyal_lab.moyal_rep import (
     HSSpace,
     HSState,
@@ -90,7 +89,6 @@ class TestConfigAndSpace:
             expected[f"shell {total}"] = (space.shell_indices(total), loop(n, lambda m, k: m + k <= total))
         for name, (got, want) in expected.items():
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert trusted_level_count(n) == sum(1 for m in range(n) for k in range(n) if m + k <= n // 2)
 
 
 class TestStates:

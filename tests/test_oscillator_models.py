@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_blocks
 from moyal_lab.operator_core import (
     FockSpace,
     adjoint,
@@ -271,7 +272,7 @@ class TestSectorForm:
         h = sector_hamiltonian(model, p, theta, levels)
         assert h.dim == levels**2
         assert len(h.blocks) == 2 * levels - 1
-        dense = h.to_operator().toarray()
+        dense = dense_blocks(h)
         oracle = padded_oracle(model, p, theta, levels)
         scale = max(1.0, float(np.linalg.norm(oracle)))
         assert np.linalg.norm(dense - oracle) <= 1e-12 * scale
@@ -296,6 +297,33 @@ class TestSectorForm:
     def test_invalid_space_rejected(self, model, theta, levels):
         with pytest.raises(ValueError):
             sector_hamiltonian(model, OscParams(1.0, 1.0), theta, levels)
+
+
+def build_operator(model, p, theta, levels):
+    if model == "commutative":
+        return h_commutative(levels, p)
+    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
+    return h1(hs) if model == "h1" else {"h2": h2, "h3": h3}[model](hs, p)
+
+
+@pytest.mark.parametrize(
+    "model, levels",
+    [(model, levels) for model in MODELS for levels in (4, 5, 12, 33)] + [("commutative", 2), ("commutative", 3)],
+)
+def test_operators_are_their_sectors_scattered(model, levels):
+    # The three diagonals 0 and +-(N + 1) against the sectors' entries,
+    # exactly: a coupling left on the +(N + 1) diagonal at n = N - 1 would
+    # join (m, N - 1) to (m + 2, 0).
+    rng = np.random.default_rng(levels)
+    draws = [(OscParams(*rng.uniform(0.1, 10.0, 2)), float(rng.uniform(0.1, 10.0))) for _ in range(3)]
+    critical = critical_point(4.0)
+    assert alpha_beta(critical, 4.0)[1] == 0.0
+    for p, theta in [*draws, (critical, 4.0)]:
+        op = build_operator(model, p, theta, levels)
+        dense = dense_blocks(sector_hamiltonian(model, p, theta, levels))
+        rows, cols = np.nonzero(dense)
+        assert np.array_equal(op.offsets, np.unique(cols - rows))
+        assert np.array_equal(op.toarray(), dense)
 
 
 def sectors_by_loop(levels, alpha, beta, zeeman):

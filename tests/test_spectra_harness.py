@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_blocks
 from moyal_lab.operator_core import TridiagonalBlocks
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, basis_state
 from moyal_lab.oscillator_models import OscParams, analytic_spectrum, critical_point
@@ -17,15 +18,6 @@ from moyal_lab.spectra_harness import (
 
 
 class TestTrustedLevelCount:
-    def test_small_case_by_hand(self):
-        # N=8, cut=4: labels with m+n <= 4 form a simplex of 15 points.
-        assert trusted_level_count(8) == 15
-
-    def test_monotone_in_n(self):
-        counts = [trusted_level_count(n) for n in (8, 12, 16, 24, 32)]
-        assert counts == sorted(counts)
-        assert len(set(counts)) == len(counts)
-
     def test_formula_aware_counts(self):
         # Symmetric spectrum: energy window below E(0, cut+1) recovers the
         # simplex of shells with m + n <= cut, cut = floor(N/3).
@@ -143,7 +135,7 @@ class TestGroundOverlap:
         phi = phi_for(p, 1.0, model)
         hs = HSSpace(ModelConfig(theta=1.0, truncation=20))
         h, _ = build_model(model, p, 1.0, 20)
-        _, vecs = np.linalg.eigh(h.to_operator().toarray())
+        _, vecs = np.linalg.eigh(dense_blocks(h))
         # The exact ground state, and the vacuum dyad, which overlaps it by
         # about sech(phi) and so tests the vector rather than a value near 1.
         for g in (ground_state_closed(hs, phi), ground_state_closed(hs, 0.0)):
