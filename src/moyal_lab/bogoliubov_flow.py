@@ -6,37 +6,35 @@ operator.  The exact ground state is available in closed form (a diagonal
 Hilbert-Schmidt operator with geometric coefficients) and in unitary form
 (the dilatation flow applied to the vacuum dyad); the two must agree.
 
-Two conventions in this corner are ambiguous (the constant multiplying
-phi*D in the unitary, and the sign of the ground-state exponent), so both
-are calibrated numerically at small phi and then frozen, rather than
-trusted from any formula.
+The unitary and the flow take their sign from one constant,
+``DILATATION_CONSTANT``, derived where it is defined.  Nothing is fitted at
+run time, so a wrong sign in either shows up as a ground state that misses
+the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operator_core import Operator, TridiagonalBlocks, adjoint, annihilator, commutator, expm, from_entries
+from .operator_core import Operator, TridiagonalBlocks, adjoint, annihilator, expm, from_entries
 from .moyal_rep import (
     HSSpace,
     HSState,
-    ModelConfig,
     RepOperators,
     build_rep,
     check_memory,
     hs_norm,
-    restrict,
     state_from_matrix,
 )
 from .oscillator_models import OscParams, sector_blocks
 
 __all__ = [
+    "DILATATION_CONSTANT",
     "BogoliubovFrame",
     "GroundState",
     "IntertwinerReport",
@@ -44,7 +42,6 @@ __all__ = [
     "bogoliubov_pair",
     "bogoliubov_frame",
     "dilatation",
-    "dilatation_scaling_constant",
     "dilatation_unitary",
     "required_levels",
     "ground_state_closed",
@@ -91,32 +88,15 @@ def dilatation(hs: HSSpace) -> Operator:
     return 1j * (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag)
 
 
-@lru_cache(maxsize=1)
-def dilatation_scaling_constant() -> float:
-    """Constant c in U = exp(-i c phi D) such that U X^c U^dag = e^phi X^c.
-
-    Calibrated from the commutator slope [D, X1c] = k X1c at phi -> 0
-    instead of trusting a sign convention.  The value is representation
-    independent, so a small space suffices.
-    """
-    hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
-    rep = build_rep(hs)
-    d = dilatation(hs)
-    ix = hs.safe_indices
-    lhs = restrict(commutator(d, rep.X1c), ix).toarray().ravel()
-    basis = restrict(rep.X1c, ix).toarray().ravel()
-    k = np.vdot(basis, lhs) / np.vdot(basis, basis)
-    resid = np.linalg.norm(lhs - k * basis)
-    if resid > 1e-10 * np.linalg.norm(lhs):
-        raise AssertionError("dilatation flow does not scale X1c")
-    c = 1j / k
-    if abs(c.imag) > 1e-10:
-        raise AssertionError("dilatation scaling constant is not real")
-    return float(c.real)
+# D = i(B_L^dag B_R - B_L B_R^dag) gives [D, X^c] = -i X^c, so exp(i phi D)
+# scales X^c by e^phi: the unitary is exp(-i c phi D) with c = -1.  The
+# ground-state flow generator is K = -iD, so the flow exp(c phi K) |0><0| is
+# that unitary applied to the vacuum dyad.
+DILATATION_CONSTANT = -1.0
 
 
 def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
-    """Unitary exp(-i c phi D) of the phi-dilatation, c calibrated.
+    """Unitary exp(-i c phi D) of the phi-dilatation, c = ``DILATATION_CONSTANT``.
 
     D keeps d = m - n and maps (m, n) to (m + 1, n + 1) with
     i sqrt((m + 1)(n + 1)): on sector d it is S J S^dag, with J the
@@ -126,7 +106,7 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     n = hs.levels
     chains = sector_blocks(n, 0.0, 1.0, 0.0).blocks
     exps = []
-    for e in expm(TridiagonalBlocks(hs.dim, chains[n - 1:]), dilatation_scaling_constant() * phi):
+    for e in expm(TridiagonalBlocks(hs.dim, chains[n - 1:]), DILATATION_CONSTANT * phi):
         s = np.array([1, 1j, -1, -1j])[np.arange(len(e)) % 4]
         exps.append((s[:, None] * e * s.conj()).real.ravel())
     coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
@@ -154,7 +134,7 @@ def bogoliubov_frame(hs: HSSpace, phi: float) -> BogoliubovFrame:
         phi=phi,
         B_L_prime=bl_p,
         B_R_prime=br_p,
-        scaling_constant=dilatation_scaling_constant(),
+        scaling_constant=DILATATION_CONSTANT,
     )
 
 
@@ -220,23 +200,10 @@ def _sector_flow(levels: int, t: float) -> np.ndarray:
     return scipy.sparse.linalg.expm_multiply(t * gen, np.eye(1, levels)[0])
 
 
-@lru_cache(maxsize=1)
-def _ground_exponent_sign() -> float:
-    """Sign s in psi0 = exp(s phi (B_L^dag B_R - B_L B_R^dag)) |0><0|.
-
-    Calibrated against the closed form at small phi and then frozen.
-    """
-    hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
-    phi = 0.05
-    target = np.diagonal(ground_state_closed(hs, phi).psi0.as_matrix())
-    return min(
-        (-1.0, 1.0),
-        key=lambda s: np.linalg.norm(_sector_flow(hs.levels, s * phi) - target),
-    )
-
-
 def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
     """Unitary flow applied to the vacuum dyad; must match the closed form.
+
+    It is ``dilatation_unitary`` applied to |0><0|, run on the m = n sector.
 
     An N-level chain reflects the flow at its top level (up to 1e-7 error),
     so it runs on pad more levels, the fewest with |tanh phi|^pad <= 1e-17,
@@ -244,7 +211,7 @@ def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
     """
     _check_tail(hs, phi)
     pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi)))) if phi else 0
-    coeffs = _sector_flow(hs.levels + pad, _ground_exponent_sign() * phi)[: hs.levels]
+    coeffs = _sector_flow(hs.levels + pad, DILATATION_CONSTANT * phi)[: hs.levels]
     state = state_from_matrix(hs, np.diag(coeffs))
     return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
 

@@ -42,9 +42,6 @@ from .symmetry_lab import su2_commutant, time_reversal_suite
 
 __all__ = ["RunConfig", "algebra_residuals", "main", "entry_point"]
 
-_FORMATS = ("json", "csv")
-
-
 def fmt(x: float) -> str:
     """Canonical float rendering, 17 significant digits."""
     return "%.17g" % float(x)
@@ -67,7 +64,7 @@ class RunConfig:
     theta_grid: tuple[float, ...] = ()
     truncation_list: tuple[int, ...] = ()
 
-    def validate(self, min_truncation: int = 8) -> None:
+    def validate(self, min_truncation: int = 8, formats: tuple[str, ...] = ("json", "csv")) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.theta > 0.0:
@@ -78,8 +75,8 @@ class RunConfig:
             raise ValueError("omega must be positive")
         if self.truncation < min_truncation:
             raise ValueError(f"truncation must be at least {min_truncation}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
+        if self.format not in formats:
+            raise ValueError(f"format must be {' or '.join(formats)}, not {self.format!r}")
         for g, name in (
             (self.mu_grid, "mu"),
             (self.omega_grid, "omega"),
@@ -119,7 +116,7 @@ _KEYS = {
 }
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace, default_format: str) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
     for key in values:
         if key not in _KEYS:
@@ -129,7 +126,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag if isinstance(flag, list) else [flag]
     lists = {key: tuple(_KEYS[key](v) for v in vals) for key, vals in values.items()}
-    fields = {key: vals[-1] for key, vals in lists.items()}
+    fields = {"format": default_format} | {key: vals[-1] for key, vals in lists.items()}
     for key in ("mu", "omega", "theta"):
         if len(lists.get(key, ())) > 1:
             fields[f"{key}_grid"] = lists[key]
@@ -189,7 +186,8 @@ def algebra_residuals(hs: HSSpace) -> list[tuple[str, float, float]]:
     """Safe-block residuals of the defining commutation relations, as
     (name, ||[A, B] - c||, that norm over ||AB|| + ||BA||), all norms taken
     on the safe block.  Only the relative residual is free of the block's
-    size: rounding alone gives an absolute 2.4e-12 at N = 128."""
+    size: rounding alone gives an absolute 2.4e-12 at N = 128.  A theta
+    whose norms overflow raises FloatingPointError."""
     rep = build_rep(hs)
     theta = hs.theta
     ix = hs.safe_indices
@@ -210,10 +208,11 @@ def algebra_residuals(hs: HSSpace) -> list[tuple[str, float, float]]:
     ]
     eye = identity(hs.dim)
     rows = []
-    for name, a, b, c in relations:
-        ab, ba, one = block_values([a @ b, b @ a, eye], ix)
-        resid = row_norm(ab - ba - complex(c) * one)
-        rows.append((name, resid, resid / (row_norm(ab) + row_norm(ba))))
+    with np.errstate(over="raise"):
+        for name, a, b, c in relations:
+            ab, ba, one = block_values([a @ b, b @ a, eye], ix)
+            resid = row_norm(ab - ba - complex(c) * one)
+            rows.append((name, resid, resid / (row_norm(ab) + row_norm(ba))))
     return rows
 
 
@@ -403,13 +402,15 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0 if final <= 1e-8 else 1
 
 
+# Each subcommand with its minimum truncation and the report formats it
+# writes, the first being its default.
 _COMMANDS = {
-    "algebra": (cmd_algebra, 4),
-    "spectrum": (cmd_spectrum, 8),
-    "sweep": (cmd_sweep, 8),
-    "symmetry": (cmd_symmetry, 8),
-    "ground": (cmd_ground, 8),
-    "converge": (cmd_converge, 8),
+    "algebra": (cmd_algebra, 4, ("json",)),
+    "spectrum": (cmd_spectrum, 8, ("json", "csv")),
+    "sweep": (cmd_sweep, 8, ("csv",)),
+    "symmetry": (cmd_symmetry, 8, ("json",)),
+    "ground": (cmd_ground, 8, ("json",)),
+    "converge": (cmd_converge, 8, ("csv",)),
 }
 
 
@@ -419,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for oscillators on the noncommutative plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, formats) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--model", choices=MODELS, default=None)
@@ -427,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--omega", type=float, action="append", default=None)
         sp.add_argument("--theta", type=float, action="append", default=None)
         sp.add_argument("--truncation", type=int, action="append", default=None)
-        sp.add_argument("--format", choices=_FORMATS, default=None)
+        sp.add_argument("--format", choices=formats, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--no-timestamp", action="store_true")
     return parser
@@ -446,10 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    func, min_n = _COMMANDS[args.command]
+    func, min_n, formats = _COMMANDS[args.command]
     try:
-        cfg = _build_config(args)
-        cfg.validate(min_truncation=min_n)
+        cfg = _build_config(args, formats[0])
+        cfg.validate(min_truncation=min_n, formats=formats)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .operator_core import Diagonals, FockSpace, Operator, identity, tensor
 
@@ -45,7 +44,6 @@ __all__ = [
     "basis_state",
     "state_from_matrix",
     "apply_op",
-    "restrict",
     "block_norm",
     "block_values",
     "row_norm",
@@ -305,20 +303,6 @@ def dimensionless(rep: RepOperators, theta: float) -> ScaledPhaseSpace:
         p1_half=p1 / 2.0,
         p2_half=p2 / 2.0,
     )
-
-
-def restrict(op: Operator, indices: np.ndarray) -> scipy.sparse.csr_array:
-    """Sparse submatrix of op on strictly ascending basis indices (others
-    raise ValueError), built in one pass through an old-to-new index map."""
-    m, indices = op.mat, np.asarray(indices)
-    if np.any(np.diff(indices) <= 0):
-        raise ValueError("restrict needs strictly ascending indices")
-    new = np.full(op.dim, -1, dtype=m.indices.dtype)
-    new[indices] = np.arange(indices.size)
-    rows, cols = np.repeat(new, np.diff(m.indptr)), new[m.indices]
-    keep = (rows >= 0) & (cols >= 0)
-    indptr = np.append(0, np.cumsum(np.bincount(rows[keep], minlength=indices.size))).astype(m.indptr.dtype)
-    return scipy.sparse.csr_array((m.data[keep], cols[keep], indptr), shape=(indices.size, indices.size))
 
 
 def block_norm(op: Operator, indices: np.ndarray) -> float:

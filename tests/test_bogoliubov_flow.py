@@ -18,7 +18,6 @@ from moyal_lab.moyal_rep import (
     build_rep,
     hs_inner,
     hs_norm,
-    restrict,
 )
 from moyal_lab.oscillator_models import (
     OscParams,
@@ -28,13 +27,13 @@ from moyal_lab.oscillator_models import (
     renormalized_params,
 )
 from moyal_lab.bogoliubov_flow import (
+    DILATATION_CONSTANT,
     _sector_flow,
     bogoliubov_frame,
     bogoliubov_pair,
     c_operators,
     c_operators_primed,
     dilatation,
-    dilatation_scaling_constant,
     dilatation_unitary,
     ground_state_closed,
     ground_state_unitary,
@@ -154,7 +153,14 @@ class TestDilatation:
                 assert block_norm(diff, space.safe_indices) < 1e-12
 
     def test_scaling_constant_calibration(self):
-        assert dilatation_scaling_constant() == pytest.approx(-1.0, abs=1e-12)
+        """The constant's derivation: [D, X^c] = k X^c on the safe block with
+        k = -i, so exp(-i c phi D) scales X^c by e^phi for c = i / k = -1."""
+        space = HSSpace(ModelConfig(theta=1.0, truncation=8))
+        rep = build_rep(space)
+        d = dilatation(space)
+        for xc in (rep.X1c, rep.X2c):
+            assert block_norm(commutator(d, xc) + 1j * xc, space.safe_indices) < 1e-12
+        assert DILATATION_CONSTANT == -1.0
 
     def test_unitary_scales_positions(self):
         """U X^c U^dag = e^phi X^c on a deep shell (finite-flow oracle).
@@ -169,7 +175,7 @@ class TestDilatation:
         ix = space.shell_indices(6)
         conj = u @ rep.X1c @ u.dag()
         target = math.exp(phi) * rep.X1c
-        diff = restrict(conj - target, ix).toarray()
+        diff = (conj - target).toarray()[np.ix_(ix, ix)]
         assert np.linalg.norm(diff) < 1e-8
 
     def test_unitary_is_unitary(self, hs):
@@ -191,7 +197,7 @@ class TestDilatation:
     def test_frame_bundle(self, hs):
         frame = bogoliubov_frame(hs, 0.25)
         assert frame.phi == 0.25
-        assert frame.scaling_constant == pytest.approx(-1.0)
+        assert frame.scaling_constant == DILATATION_CONSTANT
         bl, _ = bogoliubov_pair(hs, 0.25)
         assert np.allclose(frame.B_L_prime.toarray(), bl.toarray())
 
@@ -204,7 +210,7 @@ class TestDilatation:
         conj = u @ rep.B_L @ u.dag()
         bl_p, _ = bogoliubov_pair(space, phi)
         ix = space.shell_indices(6)
-        diff = restrict(conj - bl_p, ix).toarray()
+        diff = (conj - bl_p).toarray()[np.ix_(ix, ix)]
         assert np.linalg.norm(diff) < 1e-8
 
 
@@ -215,7 +221,7 @@ class TestDilatationChains:
     @pytest.mark.parametrize("phi", [-0.7, -0.3, 0.35])
     def test_matches_ladder_form_exponential(self, levels, phi):
         space = HSSpace(ModelConfig(theta=0.8, truncation=levels))
-        oracle = scipy.linalg.expm((-1j * dilatation_scaling_constant() * phi) * dilatation(space).toarray())
+        oracle = scipy.linalg.expm((-1j * DILATATION_CONSTANT * phi) * dilatation(space).toarray())
         got = dilatation_unitary(space, phi).toarray()
         assert np.abs(got - oracle).max() <= 1e-13
         # Non-zero exactly on the union of the sector blocks d x d, and real.
@@ -290,6 +296,21 @@ class TestGroundState:
         dense = scipy.sparse.linalg.expm_multiply(-phi * k, basis_state(hs, 0, 0).vec)
         got = np.diag(_sector_flow(levels, -phi)).ravel()
         assert np.max(np.abs(got - dense)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        ("model", "mu", "omega"), [("h2", 2.0, 2.0), ("h2", 0.5, 0.7), ("h3", 1.0, 1.0), ("h3", 3.0, 0.5)]
+    )
+    def test_flow_is_dilatation_of_vacuum(self, model, mu, omega):
+        """The flow is the (0, 0) column of ``dilatation_unitary`` on N + pad
+        levels, cut to N, for angles of both signs (h2 > 0 here, h3 < 0)."""
+        phi = phi_for(OscParams(mu, omega), 1.0, model)
+        levels = required_levels(phi)
+        pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi))))
+        big = HSSpace(ModelConfig(theta=1.0, truncation=levels + pad))
+        column = apply_op(dilatation_unitary(big, phi), basis_state(big, 0, 0)).as_matrix()
+        assert not (column - np.diag(np.diagonal(column))).any()
+        flow = ground_state_unitary(HSSpace(ModelConfig(theta=1.0, truncation=levels)), phi)
+        assert np.max(np.abs(np.diagonal(flow.psi0.as_matrix()) - np.diagonal(column)[:levels])) <= 1e-13
 
     @pytest.mark.parametrize(
         ("model", "mu", "omega", "levels", "edge"),

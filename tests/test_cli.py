@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from moyal_lab import cli, moyal_rep
+from moyal_lab import bogoliubov_flow, cli, moyal_rep
 from moyal_lab.cli import _sweep_row, algebra_residuals, fmt, main, parse_config_file
 from moyal_lab.moyal_rep import HSSpace, ModelConfig
 from moyal_lab.operator_core import Operator
@@ -117,6 +117,25 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mu = \n")
         assert main(["spectrum", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        ("command", "fmt_name"),
+        [("algebra", "csv"), ("sweep", "json"), ("symmetry", "csv"), ("ground", "csv"), ("converge", "json")],
+    )
+    def test_format_the_command_does_not_write(self, tmp_path, capsys, command, fmt_name, source):
+        """A format outside the ones a subcommand writes is refused, whether
+        it comes from the flag or from the config file."""
+        out = tmp_path / "report"
+        if source == "flag":
+            argv = ["--format", fmt_name]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"format = {fmt_name}\n")
+            argv = ["--config", str(cfg)]
+        assert main([command, "--model", "h2", "--truncation", "8", *argv, "--out", str(out)]) == 2
+        assert fmt_name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectrum_threshold_failure(self, capsys):
         # Deep in the strong-coupling regime the N=12 truncation is far
@@ -374,6 +393,16 @@ class TestSymmetryGroundConverge:
         assert payload["phi"] == pytest.approx(0.0, abs=1e-14)
         assert payload["ground_overlap"] >= 1.0 - 1e-10
 
+    def test_ground_flow_with_wrong_sign_fails(self, tmp_path, capsys, monkeypatch):
+        """The flow's sign is fixed, not fitted: a flow run backwards misses
+        the closed form and the gate trips."""
+        flow = bogoliubov_flow._sector_flow
+        monkeypatch.setattr(bogoliubov_flow, "_sector_flow", lambda levels, t: flow(levels, -t))
+        out = tmp_path / "ground.json"
+        args = ["--mu", "2", "--omega", "2", "--truncation", "40", "--no-timestamp", "--out", str(out)]
+        assert main(["ground", "--model", "h2", *args]) == 1
+        assert json.loads(out.read_text())["closed_vs_unitary"] > 1e-10
+
     def test_converge_critical_h2(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
         rc = main(
@@ -569,6 +598,14 @@ class TestAlgebraResiduals:
         assert all(r["pass"] and r["relative_residual"] <= 1e-15 for r in relations)
         lines = capsys.readouterr().out.splitlines()
         assert [float(line.split()[1]) for line in lines] == [r["residual"] for r in relations]
+
+    def test_overflowing_theta_raises(self):
+        """In-process too, a theta whose norms overflow raises at the
+        overflow, with no numpy warning and no later ZeroDivisionError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                algebra_residuals(HSSpace(ModelConfig(theta=1e200, truncation=12)))
 
     @pytest.mark.parametrize("levels", [12, 128])
     def test_perturbed_representation_fails(self, levels, capsys, monkeypatch):

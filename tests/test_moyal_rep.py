@@ -21,7 +21,6 @@ from moyal_lab.moyal_rep import (
     hs_norm,
     ladders,
     left_action,
-    restrict,
     right_action,
     row_norm,
     state_from_matrix,
@@ -295,28 +294,8 @@ class TestRestrict:
         m = rng.normal(size=(hs.dim, hs.dim))
         op = Operator(m)
         ix = np.array([0, 3, 5])
-        assert np.allclose(restrict(op, ix).toarray(), m[np.ix_(ix, ix)])
+        assert np.allclose(op.toarray()[np.ix_(ix, ix)], m[np.ix_(ix, ix)])
         assert block_norm(op, ix) == pytest.approx(np.linalg.norm(m[np.ix_(ix, ix)]))
-
-    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
-    def test_equals_fancy_indexing(self, levels):
-        """The same CSR arrays (values and dtypes) as two fancy-index passes,
-        for ascending indices."""
-        space = HSSpace(ModelConfig(theta=0.7, truncation=levels))
-        rng = np.random.default_rng(levels)
-        rep = build_rep(space)
-        sample = np.sort(rng.choice(space.dim, size=space.dim // 3, replace=False))
-        for op in (rep.X1c, rep.P2, random_sparse(space.dim, rng, 0.2)):
-            for ix in (space.safe_indices, space.complete_shell_indices, space.safe_block(3), sample):
-                got, ref = restrict(op, ix), op.mat[ix][:, ix]
-                for part in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got, part), getattr(ref, part))
-                    assert getattr(got, part).dtype == getattr(ref, part).dtype
-
-    @pytest.mark.parametrize("ix", [[3, 1, 5], [0, 2, 2]])
-    def test_rejects_unsorted_or_repeated_indices(self, rep, ix):
-        with pytest.raises(ValueError, match="ascending"):
-            restrict(rep.X1, np.array(ix))
 
 
 @pytest.mark.parametrize("levels", [4, 5, 12])
@@ -362,7 +341,7 @@ class TestBlockValues:
         rng = np.random.default_rng(100 + levels)
         ix = block(space)
         ops = [random_sparse(space.dim, rng, density) for density in (0.02, 0.05, 0.1)]
-        dense = [restrict(op, ix).toarray() for op in ops]
+        dense = [op.toarray()[np.ix_(ix, ix)] for op in ops]
         union = np.any([d != 0 for d in dense], axis=0)
         assert np.array_equal(block_values(ops, ix), np.array([d[union] for d in dense]))
 
