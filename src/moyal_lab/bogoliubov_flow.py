@@ -144,15 +144,7 @@ class GroundState:
 
     psi0: HSState
     phi: float
-    gamma: float
     norm: float
-
-
-def _gamma_of(phi: float) -> float:
-    ratio = -math.tanh(phi)
-    if ratio > 0.0:
-        return math.log(ratio)
-    return -math.inf if ratio == 0.0 else math.nan
 
 
 def required_levels(phi: float) -> int:
@@ -185,7 +177,7 @@ def ground_state_closed(hs: HSSpace, phi: float) -> GroundState:
     coeffs = (1.0 / math.cosh(phi)) * (-math.tanh(phi)) ** np.arange(n)
     mat = np.diag(coeffs.astype(np.complex128))
     state = HSState(hs, mat.ravel())
-    return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
+    return GroundState(psi0=state, phi=phi, norm=hs_norm(state))
 
 
 def _sector_flow(levels: int, t: float) -> np.ndarray:
@@ -213,7 +205,7 @@ def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
     pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi)))) if phi else 0
     coeffs = _sector_flow(hs.levels + pad, DILATATION_CONSTANT * phi)[: hs.levels]
     state = state_from_matrix(hs, np.diag(coeffs))
-    return GroundState(psi0=state, phi=phi, gamma=_gamma_of(phi), norm=hs_norm(state))
+    return GroundState(psi0=state, phi=phi, norm=hs_norm(state))
 
 
 def c_operators(hs: HSSpace, p: OscParams) -> tuple[Operator, Operator]:

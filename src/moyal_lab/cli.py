@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Subcommands: algebra | spectrum | sweep | symmetry | ground | converge.
-Configuration comes from a flat ``key = value`` file (repeated keys build
-grid lists; unknown keys are rejected), and a command-line flag replaces
-every file value of its key.  Exit codes:
-0 success, 1 threshold failure, 2 invalid or infeasible input (such as a
-truncation whose representation would not fit in memory, or an unwritable
-``--out``).  All floats are printed with 17 significant digits so reports
-serve as reproducible oracles.
+Configuration comes from a flat ``key = value`` file (unknown keys are
+rejected), and a command-line flag replaces every file value of its key.
+A numeric key (mu, omega, theta, truncation) may repeat only where the
+subcommand sweeps it: ``sweep`` over mu, omega and theta, ``converge`` over
+truncation.  Exit codes: 0 success, 1 threshold failure, 2 invalid or
+infeasible input (such as a repeated key that is not swept, a value that is
+not finite and positive, a truncation whose representation would not fit
+in memory, or an unwritable ``--out``).  All floats are printed with 17
+significant digits so reports serve as reproducible oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 from dataclasses import dataclass
 
@@ -47,45 +50,44 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+# The numeric keys, each held as the tuple of values given.
+_NUMERIC = ("theta", "mu", "omega", "truncation")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+    """Validated run parameters shared by every subcommand.  Each numeric
+    key holds the tuple of its values; only a key the subcommand sweeps may
+    hold more than one."""
 
     model: str = "h3"
-    mu: float = 1.0
-    omega: float = 1.0
-    theta: float = 1.0
-    truncation: int = 16
+    mu: tuple[float, ...] = (1.0,)
+    omega: tuple[float, ...] = (1.0,)
+    theta: tuple[float, ...] = (1.0,)
+    truncation: tuple[int, ...] = (16,)
     format: str = "json"
     out: str | None = None
     timestamp: bool = True
-    mu_grid: tuple[float, ...] = ()
-    omega_grid: tuple[float, ...] = ()
-    theta_grid: tuple[float, ...] = ()
-    truncation_list: tuple[int, ...] = ()
 
-    def validate(self, min_truncation: int = 8, formats: tuple[str, ...] = ("json", "csv")) -> None:
+    def validate(
+        self,
+        min_truncation: int = 8,
+        formats: tuple[str, ...] = ("json", "csv"),
+        sweeps: tuple[str, ...] = (),
+    ) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
-        if not self.mu > 0.0:
-            raise ValueError("mu must be positive")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if self.truncation < min_truncation:
-            raise ValueError(f"truncation must be at least {min_truncation}")
+        for key in _NUMERIC:
+            values = getattr(self, key)
+            if len(values) != 1 and key not in sweeps:
+                raise ValueError(f"{key} takes one value for this subcommand, not {len(values)}")
+            if key == "truncation":
+                if any(n < min_truncation for n in values):
+                    raise ValueError(f"truncation must be at least {min_truncation}")
+            elif not all(math.isfinite(v) and v > 0.0 for v in values):
+                raise ValueError(f"{key} must be positive and finite")
         if self.format not in formats:
             raise ValueError(f"format must be {' or '.join(formats)}, not {self.format!r}")
-        for g, name in (
-            (self.mu_grid, "mu"),
-            (self.omega_grid, "omega"),
-            (self.theta_grid, "theta"),
-        ):
-            if any(not v > 0.0 for v in g):
-                raise ValueError(f"{name} grid values must be positive")
-        if any(n < min_truncation for n in self.truncation_list):
-            raise ValueError(f"every truncation must be at least {min_truncation}")
 
 
 def parse_config_file(path: str) -> dict[str, list[str]]:
@@ -116,7 +118,7 @@ _KEYS = {
 }
 
 
-def _build_config(args: argparse.Namespace, default_format: str) -> RunConfig:
+def _build_config(args: argparse.Namespace, default_format: str, truncations: tuple[int, ...]) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
     for key in values:
         if key not in _KEYS:
@@ -125,13 +127,10 @@ def _build_config(args: argparse.Namespace, default_format: str) -> RunConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag if isinstance(flag, list) else [flag]
-    lists = {key: tuple(_KEYS[key](v) for v in vals) for key, vals in values.items()}
-    fields = {"format": default_format} | {key: vals[-1] for key, vals in lists.items()}
-    for key in ("mu", "omega", "theta"):
-        if len(lists.get(key, ())) > 1:
-            fields[f"{key}_grid"] = lists[key]
-    if "truncation" in lists:
-        fields["truncation_list"] = lists["truncation"]
+    fields = {"format": default_format, "truncation": truncations}
+    for key, vals in values.items():
+        converted = tuple(_KEYS[key](v) for v in vals)
+        fields[key] = converted if key in _NUMERIC else converted[-1]
     return RunConfig(timestamp=not args.no_timestamp, **fields)
 
 
@@ -221,7 +220,8 @@ _ALGEBRA_RTOL = 1e-14
 
 
 def cmd_algebra(cfg: RunConfig) -> int:
-    hs = HSSpace(ModelConfig(theta=cfg.theta, truncation=cfg.truncation))
+    (theta,), (levels,) = cfg.theta, cfg.truncation
+    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
     rows = [(*row, row[2] <= _ALGEBRA_RTOL) for row in algebra_residuals(hs)]
     lines = [f"{'PASS' if ok else 'FAIL'}  {fmt(resid)}  {name}" for name, resid, _, ok in rows]
     payload = {
@@ -229,7 +229,7 @@ def cmd_algebra(cfg: RunConfig) -> int:
             {"name": name, "residual": resid, "relative_residual": rel, "pass": ok}
             for name, resid, rel, ok in rows
         ],
-        "params": {"theta": cfg.theta, "N": cfg.truncation},
+        "params": {"theta": theta, "N": levels},
         **_stamp(cfg),
     }
     if cfg.out:
@@ -243,9 +243,7 @@ def _spectrum_csv(report: SpectrumReport, cfg: RunConfig) -> str:
         ",".join(
             [
                 report.model,
-                fmt(cfg.mu),
-                fmt(cfg.omega),
-                fmt(cfg.theta),
+                *(fmt(report.params[key]) for key in ("mu", "omega", "theta")),
                 str(report.N),
                 str(k),
                 fmt(num),
@@ -259,14 +257,9 @@ def _spectrum_csv(report: SpectrumReport, cfg: RunConfig) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    p = OscParams(cfg.mu, cfg.omega)
-    h, formula = build_model(cfg.model, p, cfg.theta, cfg.truncation)
-    report = diagonalize_compare(
-        h,
-        formula,
-        cfg.truncation,
-        params={"mu": cfg.mu, "omega": cfg.omega, "theta": cfg.theta},
-    )
+    (mu,), (omega,), (theta,), (levels,) = cfg.mu, cfg.omega, cfg.theta, cfg.truncation
+    h, formula = build_model(cfg.model, OscParams(mu, omega), theta, levels)
+    report = diagonalize_compare(h, formula, levels, params={"mu": mu, "omega": omega, "theta": theta})
     if cfg.format == "csv":
         _emit(_spectrum_csv(report, cfg), cfg.out)
     else:
@@ -333,10 +326,8 @@ def _theta_rows(mus: tuple[float, ...], omegas: tuple[float, ...], theta: float,
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    mus = cfg.mu_grid or (cfg.mu,)
-    omegas = cfg.omega_grid or (cfg.omega,)
-    thetas = cfg.theta_grid or (cfg.theta,)
-    per_theta = [_theta_rows(mus, omegas, t, cfg.truncation) for t in thetas]
+    (levels,) = cfg.truncation
+    per_theta = [_theta_rows(cfg.mu, cfg.omega, t, levels) for t in cfg.theta]
     # Grid order is mu-major and theta-minor.
     rows = [row for point in zip(*per_theta) for row in point]
     _emit(_csv_text(cfg, _SWEEP_COLUMNS, rows), cfg.out)
@@ -345,9 +336,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_symmetry(cfg: RunConfig) -> int:
-    hs = HSSpace(ModelConfig(theta=cfg.theta, truncation=cfg.truncation))
+    (mu,), (omega,), (theta,), (levels,) = cfg.mu, cfg.omega, cfg.theta, cfg.truncation
+    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
     rep = build_rep(hs)
-    suite = time_reversal_suite(rep, schwinger_noncommutative(hs, rep), OscParams(cfg.mu, cfg.omega), hs)
+    suite = time_reversal_suite(rep, schwinger_noncommutative(hs, rep), OscParams(mu, omega), hs)
     _emit(_json_text({**suite.to_json_dict(), **_stamp(cfg)}), cfg.out)
     sys.stdout.write(
         f"zeeman difference residual: {fmt(suite.zeeman_difference_residual)}\n"
@@ -358,22 +350,23 @@ def cmd_symmetry(cfg: RunConfig) -> int:
 def cmd_ground(cfg: RunConfig) -> int:
     if cfg.model not in ("h2", "h3"):
         raise ValueError("ground command supports models h2 and h3 only")
-    p = OscParams(cfg.mu, cfg.omega)
-    phi = phi_for(p, cfg.theta, cfg.model)
-    levels = max(cfg.truncation, required_levels(phi))
-    hs = HSSpace(ModelConfig(theta=cfg.theta, truncation=levels))
+    (mu,), (omega,), (theta,), (truncation,) = cfg.mu, cfg.omega, cfg.theta, cfg.truncation
+    p = OscParams(mu, omega)
+    phi = phi_for(p, theta, cfg.model)
+    levels = max(truncation, required_levels(phi))
+    hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
     closed = ground_state_closed(hs, phi)
     unitary = ground_state_unitary(hs, phi)
     diff = float(np.linalg.norm(closed.psi0.vec - unitary.psi0.vec))
-    h, _ = build_model(cfg.model, p, cfg.theta, levels)
+    h, _ = build_model(cfg.model, p, theta, levels)
     overlap = ground_overlap(h, closed)
-    rp = renormalized_params(p, cfg.theta)
-    inter = intertwiner_check(closed, rp.lambda_plus, cfg.theta)
+    rp = renormalized_params(p, theta)
+    inter = intertwiner_check(closed, rp.lambda_plus, theta)
     # The (1 + theta lambda_plus) form of the intertwiner belongs to the
     # physical model; the tanh form holds for any Bogoliubov angle.
     gate = inter.residual if cfg.model == "h3" else inter.tanh_residual
     payload = {
-        "params": {"mu": cfg.mu, "omega": cfg.omega, "theta": cfg.theta, "N": levels},
+        "params": {"mu": mu, "omega": omega, "theta": theta, "N": levels},
         "model": cfg.model,
         "phi": phi,
         "norm": closed.norm,
@@ -390,27 +383,25 @@ def cmd_ground(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    n_list = sorted(set(cfg.truncation_list or (12, 16, 24, 32)))
-    rows = convergence_study(cfg.model, OscParams(cfg.mu, cfg.omega), cfg.theta, n_list)
-    lines = [
-        ",".join([cfg.model, fmt(cfg.mu), fmt(cfg.omega), fmt(cfg.theta), str(n), fmt(resid)])
-        for n, resid in rows
-    ]
+    (mu,), (omega,), (theta,) = cfg.mu, cfg.omega, cfg.theta
+    rows = convergence_study(cfg.model, OscParams(mu, omega), theta, sorted(set(cfg.truncation)))
+    lines = [",".join([cfg.model, fmt(mu), fmt(omega), fmt(theta), str(n), fmt(resid)]) for n, resid in rows]
     _emit(_csv_text(cfg, "model,mu,omega,theta,N,max_abs_residual", lines), cfg.out)
     final = rows[-1][1]
     sys.stdout.write(f"final residual at N={rows[-1][0]}: {fmt(final)}\n")
     return 0 if final <= 1e-8 else 1
 
 
-# Each subcommand with its minimum truncation and the report formats it
-# writes, the first being its default.
+# Each subcommand with its minimum truncation, the report formats it
+# writes (the first being its default), the keys it sweeps and its default
+# truncations.
 _COMMANDS = {
-    "algebra": (cmd_algebra, 4, ("json",)),
-    "spectrum": (cmd_spectrum, 8, ("json", "csv")),
-    "sweep": (cmd_sweep, 8, ("csv",)),
-    "symmetry": (cmd_symmetry, 8, ("json",)),
-    "ground": (cmd_ground, 8, ("json",)),
-    "converge": (cmd_converge, 8, ("csv",)),
+    "algebra": (cmd_algebra, 4, ("json",), (), (16,)),
+    "spectrum": (cmd_spectrum, 8, ("json", "csv"), (), (16,)),
+    "sweep": (cmd_sweep, 8, ("csv",), ("mu", "omega", "theta"), (16,)),
+    "symmetry": (cmd_symmetry, 8, ("json",), (), (16,)),
+    "ground": (cmd_ground, 8, ("json",), (), (16,)),
+    "converge": (cmd_converge, 8, ("csv",), ("truncation",), (12, 16, 24, 32)),
 }
 
 
@@ -420,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for oscillators on the noncommutative plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, formats) in _COMMANDS.items():
+    for name, (_, _, formats, _, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--model", choices=MODELS, default=None)
@@ -447,15 +438,15 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    func, min_n, formats = _COMMANDS[args.command]
+    func, min_n, formats, sweeps, truncations = _COMMANDS[args.command]
     try:
-        cfg = _build_config(args, formats[0])
-        cfg.validate(min_truncation=min_n, formats=formats)
+        cfg = _build_config(args, formats[0], truncations)
+        cfg.validate(min_truncation=min_n, formats=formats, sweeps=sweeps)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             return func(cfg)
     except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -79,19 +79,11 @@ class JLabel:
 
 
 def schwinger_commutative(levels: int) -> SU2Generators:
-    """Generators on H x H with a1 = b x 1 and a2 = 1 x b."""
+    """Generators on H x H with a1 = b x 1 and a2 = 1 x b: the ladder pair
+    (a1, a2^dag), the substitution that gives the noncommutative ones."""
     b = annihilator(FockSpace(levels))
     eye = identity(levels)
-    a1 = tensor(b, eye)
-    a2 = tensor(eye, b)
-    a1d = adjoint(a1)
-    a2d = adjoint(a2)
-    return SU2Generators(
-        J1=0.5 * (a2d @ a1 + a1d @ a2),
-        J2=0.5j * (a2d @ a1 - a1d @ a2),
-        J3=0.5 * (a1d @ a1 - a2d @ a2),
-        context="commutative",
-    )
+    return schwinger_from_ladders(tensor(b, eye), adjoint(tensor(eye, b)), "commutative")
 
 
 def schwinger_from_ladders(bl: Operator, br: Operator, context: str) -> SU2Generators:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,10 +9,13 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moyal_lab import bogoliubov_flow, cli, moyal_rep
-from moyal_lab.cli import _sweep_row, algebra_residuals, fmt, main, parse_config_file
+from moyal_lab.cli import RunConfig, _sweep_row, algebra_residuals, fmt, main, parse_config_file
 from moyal_lab.moyal_rep import HSSpace, ModelConfig
+from moyal_lab.oscillator_models import MODELS
 from moyal_lab.operator_core import Operator
 from moyal_lab.schwinger_su2 import schwinger_noncommutative
 
@@ -542,12 +547,14 @@ class TestInfeasibleInputs:
             ["converge", "--model", "h3", "--theta", "1e300"],
             ["algebra", "--theta", "1e-300"],
             ["algebra", "--theta", "1e200"],
+            ["spectrum", "--mu", "1.7976931348623157e308", "--theta", "1e-300", "--truncation", "8"],
         ],
     )
     def test_overflowing_parameters_exit_2(self, tmp_path, capsys, argv):
         # These overflow in the parameter identities or in numpy (a norm of
-        # the algebra gate), or underflow both product norms of that gate to
-        # 0: one error line each, and no numpy warning first.
+        # the algebra gate), underflow both product norms of that gate to
+        # 0, or divide inf by inf in the spectrum's trust window: one error
+        # line each, and no numpy warning first.
         out = tmp_path / "report"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -557,6 +564,101 @@ class TestInfeasibleInputs:
         assert err.startswith("error: parameters outside the floating-point range")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+
+class TestOneValuePerKey:
+    """Only the keys a subcommand sweeps take more than one value, and every
+    value is finite and positive; anything else exits 2 naming the key."""
+
+    def test_run_config_fields(self):
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert fields == ["model", "mu", "omega", "theta", "truncation", "format", "out", "timestamp"]
+
+    @pytest.mark.parametrize(
+        ("command", "key", "values"),
+        [
+            ("spectrum", "mu", ["1", "2"]),
+            ("ground", "theta", ["1", "2"]),
+            ("converge", "mu", ["1", "2"]),
+            ("converge", "omega", ["1", "1"]),
+            ("symmetry", "truncation", ["8", "10"]),
+            ("algebra", "theta", ["1", "2"]),
+            ("sweep", "truncation", ["8", "10"]),
+        ],
+    )
+    def test_repeated_key_the_command_does_not_sweep(self, tmp_path, capsys, command, key, values):
+        out = tmp_path / "report"
+        argv = [command, "--model", "h2", *(a for v in values for a in (f"--{key}", v))]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} takes one value for this subcommand, not 2\n"
+        assert not out.exists()
+
+    def test_repeated_file_key_serves_sweep_only(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("mu = 0.5\nmu = 1.0\ntruncation = 8\n")
+        out = tmp_path / "report"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "mu takes one value" in capsys.readouterr().err
+        assert main(["spectrum", "--config", str(cfg), "--mu", "2", "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--no-timestamp", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["mu", "omega", "theta"])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_non_finite_value_names_its_key(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "report"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = [command, "--model", "h2", "--truncation", "8", f"--{key}={value}"]
+            assert main([*argv, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == f"error: {key} must be positive and finite\n"
+        assert not out.exists()
+
+    def test_non_finite_sweep_grid_value(self, capsys):
+        assert main(["sweep", "--truncation", "8", "--omega", "1", "--omega", "inf"]) == 2
+        assert capsys.readouterr().err == "error: omega must be positive and finite\n"
+
+
+# Values for the argv fuzz: non-finite, non-positive, subnormal, extreme and
+# ordinary.
+_FUZZ_FLOATS = (
+    "inf", "-inf", "nan", "0", "-1", "5e-324", "1e-300", "1e300", "1.7976931348623157e308", "0.5", "1", "2",
+)
+_FUZZ_TRUNCATIONS = ("3", "8", "12", "16")
+
+
+@st.composite
+def _fuzz_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    # At mu = omega = theta = 0.5 the ground state's tail bound needs N = 130;
+    # without 0.5 no ground request that fits in memory runs above N = 32.
+    floats = [v for v in _FUZZ_FLOATS if not (command == "ground" and v == "0.5")]
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append(f"--model={draw(st.sampled_from(MODELS))}")
+    for key, values in (("mu", floats), ("omega", floats), ("theta", floats), ("truncation", _FUZZ_TRUNCATIONS)):
+        argv += [f"--{key}={v}" for v in draw(st.lists(st.sampled_from(values), max_size=2))]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_fuzz_argv())
+    def test_every_exit_is_clean(self, argv):
+        """Any mix of extreme, non-finite and repeated values exits 0, 1 or 2,
+        never with a traceback or a numpy warning, and exit 2 prints one
+        error line."""
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main([*argv, "--out", os.devnull])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = stderr.getvalue()
+        assert rc in (0, 1, 2)
+        assert sum("error:" in line for line in err.splitlines()) == (rc == 2)
 
 
 class TestDeterminism:

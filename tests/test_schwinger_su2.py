@@ -74,6 +74,18 @@ class TestClosure:
             assert np.allclose(j.toarray(), j.toarray().conj().T, atol=1e-14)
 
 
+class TestSubstitution:
+    @pytest.mark.parametrize("levels", [4, 7, 12])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_commutative_equals_noncommutative(self, levels, theta):
+        """a1 -> B_L and a2^dag -> B_R: on the truncated lattice the two sets
+        of generators are the same matrices, entry for entry."""
+        space = HSSpace(ModelConfig(theta=theta, truncation=levels))
+        pairs = zip(schwinger_commutative(levels).as_tuple(), schwinger_noncommutative(space).as_tuple())
+        for commutative, noncommutative in pairs:
+            assert np.array_equal(commutative.toarray(), noncommutative.toarray())
+
+
 class TestLabels:
     def test_jlabel_values(self):
         lbl = JLabel(3, 1)
