@@ -22,9 +22,7 @@ from .moyal_rep import (
 from .schwinger_su2 import SU2Generators, schwinger_commutative, schwinger_noncommutative
 from .oscillator_models import MODELS, OscParams, analytic_spectrum, h1, h2, h3
 from .bogoliubov_flow import (
-    BogoliubovFrame,
     GroundState,
-    bogoliubov_frame,
     ground_state_closed,
     ground_state_unitary,
     phi_for,

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
-from .operator_core import Operator, TridiagonalBlocks, adjoint, annihilator, expm, from_entries
+from .operator_core import Operator, TridiagonalBlocks, adjoint, expm, from_entries
 from .moyal_rep import (
     HSSpace,
     HSState,
@@ -29,18 +28,17 @@ from .moyal_rep import (
     build_rep,
     check_memory,
     hs_norm,
+    ladders,
     state_from_matrix,
 )
 from .oscillator_models import OscParams, sector_blocks
 
 __all__ = [
     "DILATATION_CONSTANT",
-    "BogoliubovFrame",
     "GroundState",
     "IntertwinerReport",
     "phi_for",
     "bogoliubov_pair",
-    "bogoliubov_frame",
     "dilatation",
     "dilatation_unitary",
     "required_levels",
@@ -73,10 +71,11 @@ def phi_for(p: OscParams, theta: float, model: str) -> float:
 
 
 def bogoliubov_pair(hs: HSSpace, phi: float, rep: RepOperators | None = None) -> tuple[Operator, Operator]:
-    """Hyperbolically mixed ladder operators (B_L', B_R'); ``rep`` is that of ``hs``, if built."""
-    rep = rep if rep is not None else build_rep(hs)
+    """Mixed ladders (B_L', B_R') of the frame change ``dilatation_unitary``
+    implements; ``rep`` is that of ``hs``, if built (else only B_L, B_R are)."""
+    bl, br = (rep.B_L, rep.B_R) if rep is not None else ladders(hs)
     c, s = math.cosh(phi), math.sinh(phi)
-    return (c * rep.B_L + s * rep.B_R, s * rep.B_L + c * rep.B_R)
+    return (c * bl + s * br, s * bl + c * br)
 
 
 def dilatation(hs: HSSpace) -> Operator:
@@ -84,8 +83,8 @@ def dilatation(hs: HSSpace) -> Operator:
 
     Exactly Hermitian even at the truncation edge.
     """
-    rep = build_rep(hs)
-    return 1j * (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag)
+    bl, br = ladders(hs)
+    return 1j * (adjoint(bl) @ br - bl @ adjoint(br))
 
 
 # D = i(B_L^dag B_R - B_L B_R^dag) gives [D, X^c] = -i X^c, so exp(i phi D)
@@ -112,30 +111,6 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
     vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
     return from_entries(hs.dim, *coords, vals)
-
-
-@dataclass(frozen=True)
-class BogoliubovFrame:
-    """Primed ladder operators of the frame change.
-
-    The unitary realizing it is :func:`dilatation_unitary` with the same
-    phi and the constant ``scaling_constant``.
-    """
-
-    phi: float
-    B_L_prime: Operator
-    B_R_prime: Operator
-    scaling_constant: float
-
-
-def bogoliubov_frame(hs: HSSpace, phi: float) -> BogoliubovFrame:
-    bl_p, br_p = bogoliubov_pair(hs, phi)
-    return BogoliubovFrame(
-        phi=phi,
-        B_L_prime=bl_p,
-        B_R_prime=br_p,
-        scaling_constant=DILATATION_CONSTANT,
-    )
 
 
 @dataclass(frozen=True)
@@ -221,11 +196,12 @@ def c_operators(hs: HSSpace, p: OscParams) -> tuple[Operator, Operator]:
     return (c1, c2)
 
 
-def c_operators_primed(frame: BogoliubovFrame) -> tuple[Operator, Operator]:
-    """Primed variants that annihilate the exact ground state."""
-    br_pd = adjoint(frame.B_R_prime)
-    c1 = (frame.B_L_prime + br_pd) / math.sqrt(2.0)
-    c2 = -1j * (frame.B_L_prime - br_pd) / math.sqrt(2.0)
+def c_operators_primed(pair: tuple[Operator, Operator]) -> tuple[Operator, Operator]:
+    """Primed variants, from the ``bogoliubov_pair`` of the ground state's
+    phi, that annihilate the exact ground state."""
+    bl_p, br_pd = pair[0], adjoint(pair[1])
+    c1 = (bl_p + br_pd) / math.sqrt(2.0)
+    c2 = -1j * (bl_p - br_pd) / math.sqrt(2.0)
     return (c1, c2)
 
 
@@ -238,14 +214,13 @@ class IntertwinerReport:
 
 
 def intertwiner_check(psi0: GroundState, lambda_plus: float, theta: float) -> IntertwinerReport:
-    """Safe-block residuals of the relations tying psi0 to the bare ladder."""
-    hs = psi0.psi0.space
-    b = annihilator(hs.fock()).mat
+    """Safe-block (m, n <= N - 2) residuals of the relations tying psi0 to the
+    bare ladder, with (b psi0)[m, n] = sqrt(m + 1) psi0[m + 1, n] and
+    (psi0 b)[m, n] = psi0[m, n - 1] sqrt(n)."""
     m = psi0.psi0.as_matrix()
-    left = b @ m
-    right = m @ b
-    safe = np.arange(hs.levels - 1)
-    sub = np.ix_(safe, safe)
-    primary = float(np.linalg.norm(((1.0 + theta * lambda_plus) * left - right)[sub]))
-    tanh_form = float(np.linalg.norm((left + math.tanh(psi0.phi) * right)[sub]))
+    root = np.sqrt(np.arange(1.0, m.shape[0]))
+    left = root[:, None] * m[1:, :-1]
+    right = np.pad(m[:-1, :-2] * root[:-1], ((0, 0), (1, 0)))
+    primary = float(np.linalg.norm((1.0 + theta * lambda_plus) * left - right))
+    tanh_form = float(np.linalg.norm(left + math.tanh(psi0.phi) * right))
     return IntertwinerReport(residual=primary, tanh_residual=tanh_form)

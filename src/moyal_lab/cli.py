@@ -52,6 +52,7 @@ def fmt(x: float) -> str:
 
 # The numeric keys, each held as the tuple of values given.
 _NUMERIC = ("theta", "mu", "omega", "truncation")
+_NUMERIC_FLAGS = tuple(f"--{key}" for key in _NUMERIC)
 
 
 @dataclass(frozen=True)
@@ -434,8 +435,15 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = _build_parser()
+    # argparse takes a separate value such as -inf or -1e-3 for an option: join it to its flag.
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in _NUMERIC_FLAGS and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(joined)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     func, min_n, formats, sweeps, truncations = _COMMANDS[args.command]

@@ -3,7 +3,8 @@
 States of the quantum Hilbert space are operators psi on the truncated
 Fock space, vectorized with index(m, n) = m * N + n.  Left multiplication
 by a then becomes kron(a, I) and right multiplication kron(I, a.T), so
-psi -> a psi b is a single Kronecker product.  Positions, momenta,
+psi -> a psi b is a single Kronecker product; that stays the definition,
+which tests check ``build_rep`` and ``tensor`` against.  Positions, momenta,
 ladder operators and the commuting coordinates are all built here.
 
 Truncation corrupts only matrix elements touching the top level, so every
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator_core import Diagonals, FockSpace, Operator, identity, tensor
+from .operator_core import Diagonals, FockSpace, Operator, from_entries, identity, tensor
 
 __all__ = [
     "ModelConfig",
@@ -156,9 +157,19 @@ def state_from_matrix(hs: HSSpace, mat) -> HSState:
 
 
 def apply_op(op: Operator, psi: HSState) -> HSState:
-    if op.dim != psi.space.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {psi.space.dim}")
-    return HSState(psi.space, op.mat @ psi.vec)
+    """op psi, summed as scipy's CSR matrix-vector product sums: from zero
+    over ascending offsets, with products in split real arithmetic."""
+    dim = psi.space.dim
+    if op.dim != dim:
+        raise ValueError(f"dimension mismatch: {op.dim} vs {dim}")
+    pad = int(np.abs(op.offsets).max(initial=0))
+    x = np.pad(psi.vec, pad)
+    re, im = np.zeros(dim), np.zeros(dim)
+    for k, d in zip(op.offsets, op.diagonals):
+        s = x[pad + k:pad + k + dim]  # s[i] = vec[i + k], 0 outside
+        re = re + (d.real * s.real - d.imag * s.imag)
+        im = im + (d.real * s.imag + d.imag * s.real)
+    return HSState(psi.space, np.stack([re, im], axis=-1).view(np.complex128))
 
 
 def left_action(a: Operator, hs: HSSpace) -> Operator:
@@ -172,7 +183,8 @@ def right_action(a: Operator, hs: HSSpace) -> Operator:
     """Operator realizing psi -> psi a (an antihomomorphism)."""
     if a.dim != hs.levels:
         raise ValueError(f"dimension mismatch: {a.dim} vs {hs.levels}")
-    return tensor(identity(hs.levels), Operator(a.mat.T))
+    rows, cols, values = a.entries()
+    return tensor(identity(hs.levels), from_entries(a.dim, cols, rows, values))
 
 
 def hs_inner(phi: HSState, psi: HSState) -> complex:

@@ -4,14 +4,14 @@ Everything downstream (the Hilbert-Schmidt representation, Schwinger
 generators, oscillator Hamiltonians) is built from the primitives here:
 ladder matrices, adjoints, commutators and Kronecker products.  Every
 ladder polynomial is a few diagonals of the matrix, so operators are held
-as their non-zero diagonals: products, sums, adjoints, traces and norms
-are numpy operations on those, and a compressed sparse row matrix or a
-dense array is made only on request.  Operators with a conserved quantity
-are held block by block as real symmetric tridiagonal blocks (the J3
-sectors of the Hamiltonians and of the dilatation, the spin-j shells of an
-su(2) rotation generator); the spectral solvers and the exponential
-exp(-i t J) take them in that form.  A dense Hermitian eigensolver with
-deterministic eigenvector phases remains for operators.
+as their non-zero diagonals: products, sums, adjoints, Kronecker products,
+traces and norms are numpy operations on those, checked in the tests
+against scipy's sparse arithmetic through the CSR view ``Operator.mat``.
+Operators with a conserved quantity are held as real symmetric
+tridiagonal blocks (the J3 sectors of the Hamiltonians and of the
+dilatation, the spin-j shells of an su(2) rotation generator), the form the
+spectral solvers and the exponential exp(-i t J) take.  A dense Hermitian
+eigensolver with deterministic eigenvector phases remains for operators.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ class Operator:
     The constructor takes a ``Diagonals`` pair, whose arrays it adopts, or
     any matrix ``scipy.sparse.coo_array`` accepts, dense or sparse; all-zero
     diagonals are dropped.  ``mat`` is a new canonical ``csr_array`` (sorted
-    indices, no stored zeros) on every call.  Binary operations require
-    equal dimensions and always return new operators; their entries equal
-    those of scipy's CSR operations bit for bit.
+    indices, no stored zeros) on every call, for tests and wide products.
+    Binary operations require equal dimensions and always return new
+    operators; their entries equal those of scipy's CSR operations bit for bit.
     """
 
     __slots__ = ("_offsets", "_values")
@@ -303,8 +303,13 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; index convention (m, n) -> m * dim(b) + n."""
-    return Operator(scipy.sparse.kron(a.mat, b.mat))
+    """Kronecker product; index convention (m, n) -> m * dim(b) + n.  Only the
+    non-zero entries are multiplied, as in ``scipy.sparse.kron``: numpy rounds
+    a lone complex product otherwise than one in a longer array, so products of
+    padded diagonals would miss scipy's bits for two single-entry factors."""
+    (ra, ca, va), (rb, cb, vb) = a.entries(), b.entries()
+    rows, cols = ra[:, None] * b.dim + rb, ca[:, None] * b.dim + cb
+    return from_entries(a.dim * b.dim, rows.ravel(), cols.ravel(), (va[:, None] * vb).ravel())
 
 
 def expm(h: TridiagonalBlocks, t: float) -> list[np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 from .operator_core import (
     FockSpace, Operator, TridiagonalBlocks, adjoint, annihilator, commutator, expm, from_entries, identity, tensor,
 )
-from .moyal_rep import HSSpace, RepOperators, block_values, build_rep, ladders
+from .moyal_rep import HSSpace, RepOperators, block_values, ladders
 
 __all__ = [
     "SU2Generators",
@@ -122,8 +122,8 @@ def casimir_quartic(hs: HSSpace) -> Operator:
 
     Independent of :func:`casimir`; the two must agree on the safe block.
     """
-    rep = build_rep(hs)
-    k = rep.B_Ldag @ rep.B_L + rep.B_R @ rep.B_Rdag
+    bl, br = ladders(hs)
+    k = adjoint(bl) @ bl + br @ adjoint(br)
     return 0.25 * (k @ (k + 2.0 * identity(hs.dim)))
 
 

@@ -6,6 +6,7 @@ replayed in the terminal summary.
 """
 
 import numpy as np
+import scipy.sparse
 
 criterion_lines: list[str] = []
 
@@ -30,6 +31,17 @@ def random_diagonals(levels: int, count: int, rng: np.random.Generator):
     cols = np.arange(dim) + offsets[:, None]
     values[(cols < 0) | (cols >= dim)] = 0.0
     return Operator(Diagonals(offsets, values))
+
+
+def assert_same_csr(got, ref) -> None:
+    """``got`` (a canonical CSR matrix, as ``Operator.mat`` gives) equals the
+    scipy matrix ``ref`` in pattern and entries, bit for bit; stored zeros
+    aside, which ``Operator`` does not keep."""
+    ref = scipy.sparse.csr_array(ref)
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
 
 
 def dense_blocks(h) -> np.ndarray:

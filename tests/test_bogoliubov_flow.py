@@ -18,6 +18,7 @@ from moyal_lab.moyal_rep import (
     build_rep,
     hs_inner,
     hs_norm,
+    state_from_matrix,
 )
 from moyal_lab.oscillator_models import (
     OscParams,
@@ -28,8 +29,8 @@ from moyal_lab.oscillator_models import (
 )
 from moyal_lab.bogoliubov_flow import (
     DILATATION_CONSTANT,
+    GroundState,
     _sector_flow,
-    bogoliubov_frame,
     bogoliubov_pair,
     c_operators,
     c_operators_primed,
@@ -112,6 +113,16 @@ class TestBogoliubovPair:
         assert block_norm(commutator(br, br.dag()) + eye, ix) < 1e-12
         assert block_norm(commutator(bl, br), ix) < 1e-12
 
+    @pytest.mark.parametrize("levels", [4, 5, 12])
+    @pytest.mark.parametrize("phi", [-0.6, 0.25])
+    def test_ladders_alone_match_representation(self, levels, phi):
+        """Without ``rep`` the pair is built from ``ladders`` alone, with the
+        entries of the pair built from ``build_rep``, bit for bit."""
+        space = HSSpace(ModelConfig(theta=0.8, truncation=levels))
+        for got, ref in zip(bogoliubov_pair(space, phi), bogoliubov_pair(space, phi, build_rep(space))):
+            assert np.array_equal(got.offsets, ref.offsets)
+            assert got.diagonals.tobytes() == ref.diagonals.tobytes()
+
     def test_zero_angle_is_identity_map(self, hs):
         rep = build_rep(hs)
         bl, br = bogoliubov_pair(hs, 0.0)
@@ -144,6 +155,18 @@ class TestDilatation:
     def test_hermitian_exactly(self, hs):
         d = dilatation(hs)
         assert np.array_equal(d.toarray(), d.toarray().conj().T)
+
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_ladders_match_representation_fields(self, levels, theta):
+        """Built from ``ladders`` and their adjoints, D has the entries of the
+        same products of ``build_rep``'s four ladder fields, bit for bit."""
+        space = HSSpace(ModelConfig(theta=theta, truncation=levels))
+        rep = build_rep(space)
+        ref = 1j * (rep.B_Ldag @ rep.B_R - rep.B_L @ rep.B_Rdag)
+        got = dilatation(space)
+        assert np.array_equal(got.offsets, ref.offsets)
+        assert got.diagonals.tobytes() == ref.diagonals.tobytes()
 
     def test_two_forms_agree(self):
         for theta in (0.3, 1.0, 2.5):
@@ -193,13 +216,6 @@ class TestDilatation:
             for c in range(count)
         ]
         assert sorted(sectors) == [[d] for d in range(-6, 7)]
-
-    def test_frame_bundle(self, hs):
-        frame = bogoliubov_frame(hs, 0.25)
-        assert frame.phi == 0.25
-        assert frame.scaling_constant == DILATATION_CONSTANT
-        bl, _ = bogoliubov_pair(hs, 0.25)
-        assert np.allclose(frame.B_L_prime.toarray(), bl.toarray())
 
     def test_unitary_implements_pair(self):
         """U B_L U^dag equals the hyperbolic mixture on a deep shell."""
@@ -371,9 +387,8 @@ class TestCOperators:
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))
         p = OscParams(1.0, 1.0)
         rp = renormalized_params(p, 1.0)
-        frame = bogoliubov_frame(hs, rp.phi)
         g = ground_state_closed(hs, rp.phi)
-        for c in c_operators_primed(frame):
+        for c in c_operators_primed(bogoliubov_pair(hs, rp.phi)):
             assert hs_norm(apply_op(c, g.psi0)) < 1e-10
 
 
@@ -395,10 +410,29 @@ class TestIntertwiner:
         report = intertwiner_check(g, 2.0 * rp.lambda_plus, 1.0)
         assert report.residual > 1e-3
 
+    @pytest.mark.parametrize("levels", [4, 9, 24])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_csr_ladder_on_general_states(self, levels, seed):
+        """Scaling the rows and columns of psi0 gives the residuals of scipy's
+        CSR ladder products bit for bit, for states that are not diagonal."""
+        rng = np.random.default_rng(seed)
+        theta, lam = 0.7, float(rng.normal())
+        hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
+        m = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+        m[rng.random(m.shape) < 0.2] = 0.0
+        g = GroundState(psi0=state_from_matrix(hs, m), phi=float(rng.normal()), norm=1.0)
+        b = annihilator(hs.fock()).mat
+        left, right = b @ m, m @ b
+        sub = np.ix_(np.arange(levels - 1), np.arange(levels - 1))
+        report = intertwiner_check(g, lam, theta)
+        assert report.residual == float(np.linalg.norm(((1.0 + theta * lam) * left - right)[sub]))
+        assert report.tanh_residual == float(np.linalg.norm((left + math.tanh(g.phi) * right)[sub]))
+
     @pytest.mark.parametrize("levels", [16, 200])
     @pytest.mark.parametrize("phi", [-0.3, 0.35])
     def test_sparse_ladder_matches_dense(self, levels, phi):
-        """The sparse ladder gives the residuals of the dense products bit for bit."""
+        """Scaling the rows and columns of psi0 gives the residuals of the
+        dense ladder products bit for bit."""
         hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
         g = ground_state_closed(hs, phi)
         lam = 0.7

@@ -616,6 +616,20 @@ class TestOneValuePerKey:
         assert capsys.readouterr().err == f"error: {key} must be positive and finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["spectrum", "--mu", "-inf"], "mu"),
+            (["ground", "--theta", "-1e-3"], "theta"),
+            (["sweep", "--truncation", "8", "--omega", "1", "--omega", "-inf"], "omega"),
+        ],
+    )
+    def test_negative_separate_value_names_its_key(self, capsys, argv, key):
+        """A value after its flag, which argparse alone would take for an
+        option, reaches the same check as ``--key=value``."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {key} must be positive and finite\n"
+
     def test_non_finite_sweep_grid_value(self, capsys):
         assert main(["sweep", "--truncation", "8", "--omega", "1", "--omega", "inf"]) == 2
         assert capsys.readouterr().err == "error: omega must be positive and finite\n"
@@ -639,7 +653,8 @@ def _fuzz_argv(draw) -> list[str]:
     if draw(st.booleans()):
         argv.append(f"--model={draw(st.sampled_from(MODELS))}")
     for key, values in (("mu", floats), ("omega", floats), ("theta", floats), ("truncation", _FUZZ_TRUNCATIONS)):
-        argv += [f"--{key}={v}" for v in draw(st.lists(st.sampled_from(values), max_size=2))]
+        for v in draw(st.lists(st.sampled_from(values), max_size=2)):
+            argv += [f"--{key}={v}"] if draw(st.booleans()) else [f"--{key}", v]
     return argv
 
 
@@ -647,18 +662,19 @@ class TestArgvFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv=_fuzz_argv())
     def test_every_exit_is_clean(self, argv):
-        """Any mix of extreme, non-finite and repeated values exits 0, 1 or 2,
-        never with a traceback or a numpy warning, and exit 2 prints one
-        error line."""
+        """Any mix of extreme, non-finite and repeated values, each given as
+        ``--key=value`` or ``--key value``, exits 0, 1 or 2, never with a
+        traceback or a numpy warning, and exit 2 prints one error line and
+        nothing else (no usage block)."""
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main([*argv, "--out", os.devnull])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        err = stderr.getvalue()
+        lines = stderr.getvalue().splitlines()
         assert rc in (0, 1, 2)
-        assert sum("error:" in line for line in err.splitlines()) == (rc == 2)
+        assert len(lines) == (rc == 2) and all(line.startswith("error: ") for line in lines)
 
 
 class TestDeterminism:

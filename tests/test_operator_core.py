@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_blocks, random_diagonals
+from conftest import assert_same_csr, dense_blocks, random_diagonals
 
 from moyal_lab.operator_core import (
     Diagonals,
@@ -148,19 +148,6 @@ class TestOperator:
         assert np.allclose(a.dag().toarray(), a.toarray().conj().T)
 
 
-def _canonical(m) -> scipy.sparse.csr_array:
-    m = scipy.sparse.csr_array(m)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
-
-
-def _assert_same_csr(got: scipy.sparse.csr_array, ref) -> None:
-    ref = _canonical(ref)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
-
-
 class TestDiagonalsMatchCSR:
     """Operations on stored diagonals against scipy's CSR results, bit for bit
     (stored zeros aside, which neither form keeps)."""
@@ -172,7 +159,7 @@ class TestDiagonalsMatchCSR:
         for left, right in ((1, 1), (2, 5), (4, 4), (6, 3), (8, 8), (9, 8)):
             a = random_diagonals(levels, min(left, 2 * levels**2 - 1), rng)
             b = random_diagonals(levels, min(right, 2 * levels**2 - 1), rng)
-            _assert_same_csr((a @ b).mat, a.mat @ b.mat)
+            assert_same_csr((a @ b).mat, a.mat @ b.mat)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("levels", [3, 5, 12])
@@ -187,7 +174,7 @@ class TestDiagonalsMatchCSR:
                 (a * s, a.mat * s), (s * a, a.mat * s), (a / s, a.mat / s), (a / 2.0, a.mat / 2.0),
                 (a.dag(), a.mat.conj().T),
             ):
-                _assert_same_csr(got.mat, ref)
+                assert_same_csr(got.mat, ref)
             assert a.norm() == np.linalg.norm(a.mat.data)
             assert a.trace() == complex(a.mat.trace())
 
@@ -220,6 +207,22 @@ class TestTensor:
         t = tensor(a, identity(3))
         assert t.dim == 6
         assert np.allclose(t.toarray(), np.kron(a.toarray(), np.eye(3)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_kron(self, seed):
+        """Pattern and entries equal those of ``scipy.sparse.kron`` bit for
+        bit: general complex factors with ladder, wrap-around and wide
+        offsets, dim-1 factors, single-entry factors (a lone entry times a
+        lone entry) and all-zero operators."""
+        rng = np.random.default_rng(300 + seed)
+        shapes = ((1, 1), (2, 1), (2, 3), (2, 5), (3, 1), (3, 4), (3, 8))
+        factors = [random_diagonals(levels, count, rng) for levels, count in shapes]
+        lone = [complex(*rng.normal(size=2)) for _ in range(2)]
+        factors += [Operator(np.array([[lone[0]]])), Operator(np.zeros((1, 1)))]
+        factors += [Operator(scipy.sparse.coo_array(([lone[1]], ([0], [3])), shape=(4, 4))), Operator(np.zeros((4, 4)))]
+        for a in factors:
+            for b in factors:
+                assert_same_csr(tensor(a, b).mat, scipy.sparse.kron(a.mat, b.mat))
 
     def test_mixed_product(self):
         rng = np.random.default_rng(7)

@@ -131,6 +131,19 @@ class TestCasimir:
         diff = casimir(gens_nc) - casimir_quartic(hs)
         assert block_norm(diff, hs.safe_indices) < 1e-12 * casimir(gens_nc).norm()
 
+    @pytest.mark.parametrize("levels", [4, 5, 12, 33])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_quartic_from_ladders_matches_representation_fields(self, levels, theta):
+        """Built from ``ladders`` and their adjoints, the quartic form has the
+        entries of the same products of ``build_rep``'s ladder fields, bit for bit."""
+        space = HSSpace(ModelConfig(theta=theta, truncation=levels))
+        rep = build_rep(space)
+        k = rep.B_Ldag @ rep.B_L + rep.B_R @ rep.B_Rdag
+        ref = 0.25 * (k @ (k + 2.0 * identity(space.dim)))
+        got = casimir_quartic(space)
+        assert np.array_equal(got.offsets, ref.offsets)
+        assert got.diagonals.tobytes() == ref.diagonals.tobytes()
+
     def test_phase4d_casimir_exact(self):
         gens = phase_space_generators()
         assert np.array_equal(casimir(gens).toarray(), 0.75 * np.eye(4, dtype=complex))

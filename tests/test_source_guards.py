@@ -1,0 +1,59 @@
+"""The CSR form is a view for tests: an AST scan of the package source
+keeps production code on the stored diagonals."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import moyal_lab
+
+SOURCES = sorted(Path(moyal_lab.__file__).parent.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _modules_where(found) -> list[str]:
+    return [path.stem for path in SOURCES if any(found(node) for node in ast.walk(_tree(path)))]
+
+
+def _imports_scipy_sparse(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names)
+
+
+def test_sources_found():
+    assert {"operator_core", "moyal_rep", "bogoliubov_flow"} <= {path.stem for path in SOURCES}
+
+
+def test_only_operator_core_reads_mat():
+    """``Operator.mat`` is built and read (by the wide-product fallback) in
+    ``operator_core`` only."""
+    assert _modules_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "mat") == ["operator_core"]
+
+
+def test_scipy_sparse_importers():
+    """``operator_core`` builds the CSR view; ``bogoliubov_flow`` runs the
+    ground-state flow through ``expm_multiply``."""
+    assert _modules_where(_imports_scipy_sparse) == ["bogoliubov_flow", "operator_core"]
+
+
+@pytest.mark.parametrize("name", ["kron", "BogoliubovFrame", "bogoliubov_frame"])
+def test_name_appears_nowhere(name):
+    def uses(node: ast.AST) -> bool:
+        return (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+            or (isinstance(node, ast.alias) and name in node.name.split("."))
+            or (isinstance(node, ast.Constant) and node.value == name)
+        )
+
+    assert _modules_where(uses) == []
