@@ -113,16 +113,6 @@ class TestBogoliubovPair:
         assert block_norm(commutator(br, br.dag()) + eye, ix) < 1e-12
         assert block_norm(commutator(bl, br), ix) < 1e-12
 
-    @pytest.mark.parametrize("levels", [4, 5, 12])
-    @pytest.mark.parametrize("phi", [-0.6, 0.25])
-    def test_ladders_alone_match_representation(self, levels, phi):
-        """Without ``rep`` the pair is built from ``ladders`` alone, with the
-        entries of the pair built from ``build_rep``, bit for bit."""
-        space = HSSpace(ModelConfig(theta=0.8, truncation=levels))
-        for got, ref in zip(bogoliubov_pair(space, phi), bogoliubov_pair(space, phi, build_rep(space))):
-            assert np.array_equal(got.offsets, ref.offsets)
-            assert got.diagonals.tobytes() == ref.diagonals.tobytes()
-
     def test_zero_angle_is_identity_map(self, hs):
         rep = build_rep(hs)
         bl, br = bogoliubov_pair(hs, 0.0)
