@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.linalg
 
 from .operator_core import Operator, TridiagonalBlocks, adjoint, expm, from_entries
 from .moyal_rep import (
@@ -108,9 +108,16 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     for e in expm(TridiagonalBlocks(hs.dim, chains[n - 1:]), DILATATION_CONSTANT * phi):
         s = np.array([1, 1j, -1, -1j])[np.arange(len(e)) % 4]
         exps.append((s[:, None] * e * s.conj()).real.ravel())
-    coords = np.hstack([np.reshape(np.meshgrid(ix, ix, indexing="ij"), (2, -1)) for ix, _, _ in chains])
-    vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
-    return from_entries(hs.dim, *coords, vals)
+    # Entry (i, j) of the sector-d block, row-major, couples the labels
+    # i (N + 1) + base and j (N + 1) + base, base = max(d, 0) N + max(-d, 0).
+    d = np.arange(1 - n, n)
+    sizes = n - np.abs(d)
+    areas = sizes**2
+    block = np.repeat(np.arange(d.size), areas)
+    i, j = np.divmod(np.arange(block.size) - np.repeat(np.cumsum(areas) - areas, areas), sizes[block])
+    base = (np.maximum(d, 0) * n + np.maximum(-d, 0))[block]
+    vals = np.concatenate([exps[abs(k)] for k in d.tolist()])
+    return from_entries(hs.dim, i * (n + 1) + base, j * (n + 1) + base, vals)
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,9 @@ def _check_tail(hs: HSSpace, phi: float) -> None:
         )
     # A ground-state run holds about nine N x N complex arrays at once: the
     # closed and flow states, the sector Hamiltonian and its eigenpairs, and
-    # the overlap's copies and products.
+    # the overlap's copies and products.  The flow's L x L real eigenbasis
+    # fits under the same estimate: pad <= 2.43 N + 1 at the tail bound, so
+    # L = min(N, pad) + pad <= 3.43 N + 1 takes about 94 N^2 bytes.
     check_memory(10 * 16 * hs.dim, f"ground state at N={hs.levels}")
 
 
@@ -160,11 +169,22 @@ def _sector_flow(levels: int, t: float) -> np.ndarray:
 
     K = B_L^dag B_R - B_L B_R^dag keeps that sector:
     K |m><m| = (m + 1) |m+1><m+1| - m |m-1><m-1|, the first term absent
-    at the top level.  So the flow is N-dimensional, not N^2.
+    at the top level.  So the flow is N-dimensional, not N^2.  As in
+    ``dilatation_unitary``, K = -i S J S^dag there, with J the zero-diagonal
+    chain with off-diagonal 1 ... N - 1 and S = diag(i^k), so the flow is
+    S V e^(-i t w) V^T e0 for J = V diag(w) V^T: the real parts a and b of
+    V (cos(t w) - i sin(t w)) V[0] are two matrix-vector products, and
+    coefficient k is a_k or b_k times the real or imaginary part of i^k.
+    t = 0 gives e0 exactly.
     """
-    k = np.arange(1.0, levels)
-    gen = scipy.sparse.diags_array([k, -k], offsets=[-1, 1], format="csr")
-    return scipy.sparse.linalg.expm_multiply(t * gen, np.eye(1, levels)[0])
+    if t == 0.0:
+        return np.eye(1, levels)[0]
+    w, v = scipy.linalg.eigh_tridiagonal(np.zeros(levels), np.arange(1.0, levels))
+    tw = t * w
+    a = v @ (np.cos(tw) * v[0])
+    b = v @ (np.sin(tw) * v[0])
+    k = np.arange(levels)
+    return np.where(k % 2, b, a) * np.where(k % 4 < 2, 1.0, -1.0)
 
 
 def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
@@ -172,13 +192,17 @@ def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
 
     It is ``dilatation_unitary`` applied to |0><0|, run on the m = n sector.
 
-    An N-level chain reflects the flow at its top level (up to 1e-7 error),
-    so it runs on pad more levels, the fewest with |tanh phi|^pad <= 1e-17,
-    and is cut back to N: the exact compression of the infinite flow.
+    A chain reflects the flow at its top level (up to 1e-7 error on N
+    levels), so it runs on pad more levels, the fewest with
+    |tanh phi|^pad <= 1e-17, and is cut back: the exact compression of the
+    infinite flow.  Coefficients from level pad on are below tanh^pad, so
+    they are 0 here and the chain has min(N, pad) + pad levels.
     """
     _check_tail(hs, phi)
-    pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi)))) if phi else 0
-    coeffs = _sector_flow(hs.levels + pad, DILATATION_CONSTANT * phi)[: hs.levels]
+    pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi)))) if phi else 1
+    kept = min(hs.levels, pad)
+    coeffs = np.zeros(hs.levels)
+    coeffs[:kept] = _sector_flow(kept + pad, DILATATION_CONSTANT * phi)[:kept]
     state = state_from_matrix(hs, np.diag(coeffs))
     return GroundState(psi0=state, phi=phi, norm=hs_norm(state))
 

@@ -53,6 +53,18 @@ def fmt(x: float) -> str:
 # The numeric keys, each held as the tuple of values given.
 _NUMERIC = ("theta", "mu", "omega", "truncation")
 _NUMERIC_FLAGS = tuple(f"--{key}" for key in _NUMERIC)
+# Every long flag of a subcommand (``_build_parser``), for reading a prefix
+# as argparse does.
+_FLAGS = ("--help", "--config", "--model", *_NUMERIC_FLAGS, "--format", "--out", "--no-timestamp")
+
+
+def _is_numeric_flag(arg: str) -> bool:
+    """Whether argparse reads ``arg`` as a numeric flag: its full name or a
+    prefix of no other flag."""
+    if arg in _FLAGS:
+        return arg in _NUMERIC_FLAGS
+    named = [flag for flag in _FLAGS if flag.startswith(arg)]
+    return len(named) == 1 and named[0] in _NUMERIC_FLAGS
 
 
 @dataclass(frozen=True)
@@ -359,8 +371,7 @@ def cmd_ground(cfg: RunConfig) -> int:
     closed = ground_state_closed(hs, phi)
     unitary = ground_state_unitary(hs, phi)
     diff = float(np.linalg.norm(closed.psi0.vec - unitary.psi0.vec))
-    h, _ = build_model(cfg.model, p, theta, levels)
-    overlap = ground_overlap(h, closed)
+    overlap = ground_overlap(*build_model(cfg.model, p, theta, levels), closed)
     rp = renormalized_params(p, theta)
     inter = intertwiner_check(closed, rp.lambda_plus, theta)
     # The (1 + theta lambda_plus) form of the intertwiner belongs to the
@@ -438,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     # argparse takes a separate value such as -inf or -1e-3 for an option: join it to its flag.
     joined: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in _NUMERIC_FLAGS and not arg.startswith("--"):
+        if joined and _is_numeric_flag(joined[-1]) and not arg.startswith("--"):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -360,22 +360,31 @@ def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_eigvals(h: TridiagonalBlocks) -> np.ndarray:
     """Ascending eigenvalues, solved one block at a time (non-finite
     entries raise ValueError)."""
-    return np.sort(np.concatenate(_block_eigvals(h)))
+    per_block = [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
+    return np.sort(np.concatenate(per_block))
 
 
-def _block_eigvals(h: TridiagonalBlocks) -> list[np.ndarray]:
-    return [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
+def hermitian_ground(h: TridiagonalBlocks, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues of h, ascending, and the unit eigenvector
+    of the lowest.
 
-
-def hermitian_ground(h: TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of h and the unit eigenvector of the lowest one.
-
-    Each block is solved once for its eigenvalues; the vector comes from
-    the block that holds the lowest of them.
+    ``bounds[k]`` is a lower bound on the lowest eigenvalue of block k.
+    Blocks are solved for all their eigenvalues in ascending order of bound,
+    until the next bound is above the second-lowest level found: no block
+    left can hold either of the two lowest levels.  The vector comes from the
+    first block, in block order, whose lowest level is the lowest found.
     """
-    per_block = _block_eigvals(h)
-    index, diag, off = h.blocks[int(np.argmin([w[0] for w in per_block]))]
+    heads: dict[int, float] = {}  # the lowest level of each block solved
+    lowest = np.empty(0)
+    for k in np.argsort(bounds, kind="stable").tolist():
+        if lowest.size == 2 and bounds[k] > lowest[1]:
+            break
+        _, diag, off = h.blocks[k]
+        w = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+        heads[k] = w[0]
+        lowest = np.sort(np.concatenate([lowest, w[:2]]))[:2]
+    index, diag, off = h.blocks[min(heads, key=lambda k: (heads[k], k))]
     _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     vec = np.zeros(h.dim, dtype=np.complex128)
     vec[index] = v[:, 0]
-    return np.sort(np.concatenate(per_block)), vec
+    return lowest, vec

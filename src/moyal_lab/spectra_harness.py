@@ -175,13 +175,31 @@ def convergence_study(
     return out
 
 
-def ground_overlap(h: TridiagonalBlocks, psi0: GroundState) -> float:
-    """Overlap of the numeric ground eigenvector with the exact psi0."""
+def _sector_bounds(formula: SpectrumFormula, levels: int) -> np.ndarray:
+    """Lower bounds on the lowest level of each ``sector_blocks`` block, d ascending.
+
+    Each block is the exact compression of its infinite sector d, so its
+    lowest level is at least the exact one, at the label
+    (max(d, 0), max(-d, 0)); a 1e-9 relative margin covers rounding.
+    """
+    d = np.arange(1 - levels, levels)
+    exact = formula.energy(np.maximum(d, 0), np.maximum(-d, 0))
+    return exact - 1e-9 * np.abs(exact)
+
+
+def ground_overlap(h: TridiagonalBlocks, formula: SpectrumFormula, psi0: GroundState) -> float:
+    """Overlap of the numeric ground eigenvector of h, the ``sector_blocks``
+    of the model whose closed form is ``formula``, with the exact psi0.
+
+    Only the sectors that can hold the two lowest levels are solved
+    (``_sector_bounds``).  Those levels count as degenerate within 1e-6
+    times the closed form's median level gap.
+    """
     hs = psi0.psi0.space
     if h.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {hs.dim}")
-    evals, vec = hermitian_ground(h)
-    med = _median_gap(evals)
+    evals, vec = hermitian_ground(h, _sector_bounds(formula, hs.levels))
+    med = _median_gap(_analytic_levels(formula, hs.levels))
     tol = 1e-6 * med if med > 0.0 else 1e-12
     if evals[1] - evals[0] <= tol:
         raise ValueError(

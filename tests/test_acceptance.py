@@ -54,7 +54,6 @@ from moyal_lab.oscillator_models import (
     h3,
     lambdas,
     renormalize,
-    sector_hamiltonian,
     zeeman_decomposition,
 )
 from moyal_lab.bogoliubov_flow import (
@@ -296,8 +295,8 @@ def test_criterion_6_critical_point():
         vac = basis_state(hs, 0, 0)
         for c in c_operators(hs, p):
             worst_kill = max(worst_kill, hs_norm(apply_op(c, vac)))
-        h = sector_hamiltonian("h2", p, theta, 16)
-        worst_overlap = min(worst_overlap, ground_overlap(h, ground_state_closed(hs, phi)))
+        h, formula = build_model("h2", p, theta, 16)
+        worst_overlap = min(worst_overlap, ground_overlap(h, formula, ground_state_closed(hs, phi)))
 
     ok = worst_phi == 0.0 and worst_kill <= 1e-12 and worst_overlap >= 1.0 - 1e-10
     assert _report(

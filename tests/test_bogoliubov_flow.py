@@ -334,6 +334,28 @@ class TestGroundState:
         assert np.linalg.norm(unpadded - closed) == pytest.approx(edge, rel=0.05)
         assert np.linalg.norm(ground_state_unitary(hs, phi).psi0.vec - closed) < 1e-15
 
+    @pytest.mark.parametrize(
+        ("model", "mu", "omega", "theta", "extra"),
+        [("h2", 2.0, 2.0, 1.0, 0), ("h2", 1.2, 1.7, 1.0, 18), ("h3", 0.5, 1.0, 1.0, 80), ("h3", 1.0, 1.0, 0.3, 262)],
+    )
+    def test_short_chain_matches_full_chain(self, model, mu, omega, theta, extra):
+        """For N >= pad the flow runs on 2 pad levels and leaves the
+        coefficients from pad on at 0: their exact values, the closed form's,
+        are below tanh^pad <= 1e-17.  The kept ones match the N + pad chain's
+        up to the rounding of two eigenbases, a few ulp of sech(phi); that
+        chain's own values from pad on are rounding too, up to 1.4e-16 here."""
+        phi = phi_for(OscParams(mu, omega), theta, model)
+        pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi))))
+        levels = pad + extra
+        hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
+        short = np.diagonal(ground_state_unitary(hs, phi).psi0.as_matrix()).real
+        full = _sector_flow(levels + pad, DILATATION_CONSTANT * phi)[:levels]
+        closed = np.diagonal(ground_state_closed(hs, phi).psi0.as_matrix()).real
+        assert not short[pad:].any()
+        assert np.max(np.abs(closed[pad:]), initial=0.0) <= 1e-17
+        assert np.max(np.abs(full[pad:]), initial=0.0) <= 2e-16
+        assert np.max(np.abs(short - full)) <= 8 * np.finfo(float).eps
+
     def test_annihilated_by_primed_lowering(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))
         p = OscParams(1.0, 1.0)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -622,13 +624,26 @@ class TestOneValuePerKey:
             (["spectrum", "--mu", "-inf"], "mu"),
             (["ground", "--theta", "-1e-3"], "theta"),
             (["sweep", "--truncation", "8", "--omega", "1", "--omega", "-inf"], "omega"),
+            (["spectrum", "--th", "-inf"], "theta"),
+            (["ground", "--om", "-1e-3"], "omega"),
         ],
     )
     def test_negative_separate_value_names_its_key(self, capsys, argv, key):
-        """A value after its flag, which argparse alone would take for an
-        option, reaches the same check as ``--key=value``."""
+        """A value after its flag, or after a prefix that argparse reads as
+        that flag, which argparse alone would take for an option, reaches
+        the same check as ``--key=value``."""
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {key} must be positive and finite\n"
+
+    @pytest.mark.parametrize("prefix, flags", [("--t", "--theta, --truncation"), ("--m", "--model, --mu"), ("--o", "--omega, --out")])
+    def test_ambiguous_prefix_left_to_argparse(self, capsys, prefix, flags):
+        assert main(["spectrum", prefix, "-inf"]) == 2
+        assert f"ambiguous option: {prefix} could match {flags}" in capsys.readouterr().err
+
+    def test_flag_table_matches_parser(self):
+        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for sub in commands.choices.values():
+            assert sorted(f for f in sub._option_string_actions if f.startswith("--")) == sorted(cli._FLAGS)
 
     def test_non_finite_sweep_grid_value(self, capsys):
         assert main(["sweep", "--truncation", "8", "--omega", "1", "--omega", "inf"]) == 2
@@ -652,9 +667,13 @@ def _fuzz_argv(draw) -> list[str]:
     argv = [command]
     if draw(st.booleans()):
         argv.append(f"--model={draw(st.sampled_from(MODELS))}")
-    for key, values in (("mu", floats), ("omega", floats), ("theta", floats), ("truncation", _FUZZ_TRUNCATIONS)):
+    # Each key by its name or, where one exists, by a prefix of no other flag.
+    for names, values in (
+        (("mu",), floats), (("omega", "om"), floats), (("theta", "th"), floats), (("truncation", "tr"), _FUZZ_TRUNCATIONS),
+    ):
         for v in draw(st.lists(st.sampled_from(values), max_size=2)):
-            argv += [f"--{key}={v}"] if draw(st.booleans()) else [f"--{key}", v]
+            flag = f"--{draw(st.sampled_from(names))}"
+            argv += [f"{flag}={v}"] if draw(st.booleans()) else [flag, v]
     return argv
 
 
@@ -692,6 +711,21 @@ class TestDeterminism:
         assert "timestamp" in json.loads(out.read_text())
         assert main(["symmetry", "--truncation", "10", "--no-timestamp", "--out", str(out)]) == 0
         assert "timestamp" not in json.loads(out.read_text())
+
+    def test_ground_independent_of_numpy_rng(self, tmp_path, capsys):
+        """No step of ``ground`` draws from NumPy's global random state."""
+        out = tmp_path / "ground.json"
+        argv = ["ground", "--model", "h2", "--mu", "1", "--omega", "0.4", "--theta", "0.3", "--truncation", "24"]
+        state = np.random.get_state()
+        reports = set()
+        try:
+            for seed in range(20):
+                np.random.seed(seed)
+                assert main([*argv, "--no-timestamp", "--out", str(out)]) == 0
+                reports.add(out.read_bytes())
+        finally:
+            np.random.set_state(state)
+        assert len(reports) == 1
 
     def test_fmt_seventeen_digits(self):
         assert fmt(1.0 / 3.0) == "0.33333333333333331"

@@ -40,9 +40,25 @@ def test_only_operator_core_reads_mat():
 
 
 def test_scipy_sparse_importers():
-    """``operator_core`` builds the CSR view; ``bogoliubov_flow`` runs the
-    ground-state flow through ``expm_multiply``."""
-    assert _modules_where(_imports_scipy_sparse) == ["bogoliubov_flow", "operator_core"]
+    """Only ``operator_core``, which builds the CSR view, imports scipy.sparse."""
+    assert _modules_where(_imports_scipy_sparse) == ["operator_core"]
+
+
+def _uses_numpy_random(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (module == "numpy" and "random" in [a.name for a in node.names])
+    return False
+
+
+def test_no_numpy_random():
+    """Reports are functions of their inputs: no module draws from NumPy's
+    random state, global or seeded."""
+    assert _modules_where(_uses_numpy_random) == []
 
 
 @pytest.mark.parametrize("name", ["kron", "BogoliubovFrame", "bogoliubov_frame"])

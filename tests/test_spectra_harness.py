@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import dense_blocks
-from moyal_lab.operator_core import TridiagonalBlocks
+from moyal_lab.operator_core import TridiagonalBlocks, hermitian_eigvals, hermitian_ground
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, basis_state
-from moyal_lab.oscillator_models import OscParams, analytic_spectrum, critical_point
+from moyal_lab.oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, critical_point, sector_blocks
 from moyal_lab.bogoliubov_flow import ground_state_closed, phi_for
 from moyal_lab.spectra_harness import (
+    _analytic_levels,
+    _sector_bounds,
     build_model,
     convergence_study,
     diagonalize_compare,
@@ -118,37 +121,85 @@ class TestGroundOverlap:
         theta = 1.0
         p = critical_point(theta)
         hs = HSSpace(ModelConfig(theta=theta, truncation=16))
-        h, _ = build_model("h2", p, theta, 16)
+        h, f = build_model("h2", p, theta, 16)
         g = ground_state_closed(hs, 0.0)
-        assert ground_overlap(h, g) >= 1.0 - 1e-10
+        assert ground_overlap(h, f, g) >= 1.0 - 1e-10
 
     def test_h3_exact_ground(self):
         phi = phi_for(OscParams(1.0, 1.0), 1.0, "h3")
         hs = HSSpace(ModelConfig(theta=1.0, truncation=36))
-        h, _ = build_model("h3", OscParams(1.0, 1.0), 1.0, 36)
+        h, f = build_model("h3", OscParams(1.0, 1.0), 1.0, 36)
         g = ground_state_closed(hs, phi)
-        assert ground_overlap(h, g) >= 1.0 - 1e-8
+        assert ground_overlap(h, f, g) >= 1.0 - 1e-8
 
     @pytest.mark.parametrize("model, mu, omega", [("h3", 1.0, 1.0), ("h2", 2.0, 1.5)])
     def test_sector_and_dense_paths_agree(self, model, mu, omega):
         p = OscParams(mu, omega)
         phi = phi_for(p, 1.0, model)
         hs = HSSpace(ModelConfig(theta=1.0, truncation=20))
-        h, _ = build_model(model, p, 1.0, 20)
+        h, f = build_model(model, p, 1.0, 20)
         _, vecs = np.linalg.eigh(dense_blocks(h))
         # The exact ground state, and the vacuum dyad, which overlaps it by
         # about sech(phi) and so tests the vector rather than a value near 1.
         for g in (ground_state_closed(hs, phi), ground_state_closed(hs, 0.0)):
             dense = abs(np.vdot(vecs[:, 0], g.psi0.vec / g.norm))
-            assert ground_overlap(h, g) == pytest.approx(dense, abs=1e-12)
-        assert ground_overlap(h, ground_state_closed(hs, 0.0)) < 0.999
+            assert ground_overlap(h, f, g) == pytest.approx(dense, abs=1e-12)
+        assert ground_overlap(h, f, ground_state_closed(hs, 0.0)) < 0.999
 
     def test_degenerate_ground_rejected(self):
+        # alpha = 1, beta = 0 and a Zeeman term 2 give the labels (m, n) the
+        # energy 2m + 1, so all eight labels (0, n) share the ground level.
         hs = HSSpace(ModelConfig(theta=1.0, truncation=8))
         g = ground_state_closed(hs, 0.0)
-        levels = np.repeat(np.arange(32.0), 2)
-        degenerate = TridiagonalBlocks(
-            64, tuple((np.array([k]), levels[k : k + 1], np.empty(0)) for k in range(64))
-        )
+        formula = SpectrumFormula("test", lambda m, n: 2.0 * m + 1.0, lambda j, j3: 2.0 * (j + j3) + 1.0)
+        degenerate = sector_blocks(8, 1.0, 0.0, 2.0)
+        assert np.array_equal(hermitian_eigvals(degenerate), _analytic_levels(formula, 8))
         with pytest.raises(ValueError, match="degenerate"):
-            ground_overlap(degenerate, g)
+            ground_overlap(degenerate, formula, g)
+
+
+def all_sector_ground(h: TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``hermitian_ground``: every block solved, the vector
+    from the first block in block order that holds the lowest level."""
+    per_block = [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
+    index, diag, off = h.blocks[int(np.argmin([w[0] for w in per_block]))]
+    _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vec = np.zeros(h.dim, dtype=np.complex128)
+    vec[index] = v[:, 0]
+    return np.sort(np.concatenate(per_block))[:2], vec
+
+
+class TestPrunedGround:
+    def test_matches_all_sector_solve(self):
+        """Solving sectors in ascending order of their closed-form bound and
+        stopping past the second level gives the levels and vector of the
+        full solve bit for bit."""
+        rng = np.random.default_rng(22)
+        for case in range(240):
+            model = ("h2", "h3")[case % 2]
+            mu, omega, theta = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=3))
+            levels = int(rng.integers(8, 65))
+            h, f = build_model(model, OscParams(mu, omega), theta, levels)
+            bounds = _sector_bounds(f, levels)
+            got, want = hermitian_ground(h, bounds), all_sector_ground(h)
+            label = (model, mu, omega, theta, levels)
+            assert np.array_equal(got[0], want[0]), label
+            assert np.array_equal(got[1], want[1]), label
+            lowest = [scipy.linalg.eigvalsh_tridiagonal(diag, off)[0] for _, diag, off in h.blocks]
+            assert np.all(bounds <= lowest), label
+
+    def test_stops_at_the_second_level(self, monkeypatch):
+        """h2 at N = 24: the sectors d = 0 and +-1 hold the two lowest
+        levels, and d = +-2 are bounded above them, so three of 47 sectors
+        are solved."""
+        h, f = build_model("h2", OscParams(2.0, 2.0), 1.0, 24)
+        solve, sizes = scipy.linalg.eigvalsh_tridiagonal, []
+
+        def counted(diag, off):
+            sizes.append(diag.size)
+            return solve(diag, off)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
+        levels, _ = hermitian_ground(h, _sector_bounds(f, 24))
+        assert levels == pytest.approx([2.0, 4.0], abs=1e-12)
+        assert sorted(sizes) == [23, 23, 24]
