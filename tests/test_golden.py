@@ -1,13 +1,15 @@
 """Reports that must stay byte-identical across performance changes.
 
-``tests/golden/`` holds ``--no-timestamp`` reports of eight requests at
-N = 9, 12, 32, 33, 96 and 128 (two at odd N), with two thetas in each
-sweep.  Their numbers come from numpy products on the operators' stored
-diagonals and from numpy sums and norms on aligned safe-block values (no
-LAPACK call), so on one machine and numpy and scipy version every byte is
-reproducible; a change of those kernels may require regenerating them, by
-running the requests below with ``--out``.  Two ``ground`` reports (h3 at N = 24, h2 at N = 40) add
-the sector eigensolver and the ground-state flow.
+``tests/golden/`` holds ``--no-timestamp`` reports of the fourteen requests
+below.  The ``algebra``, ``symmetry`` and ``sweep`` reports (N = 9, 12, 32,
+33, 96 and 128, two thetas in each sweep) come from numpy products on the
+operators' stored diagonals and numpy sums and norms on aligned safe-block
+values, with no LAPACK call.  The ``ground``, ``spectrum`` and ``converge``
+reports add LAPACK's tridiagonal eigensolver on the J3 sectors, and
+``ground`` the ground-state flow.  On one machine and numpy and scipy
+version every byte is reproducible; a change of those kernels may require
+regenerating them, by running the requests below with ``--no-timestamp``
+and ``--out``.
 """
 
 from pathlib import Path
@@ -38,6 +40,16 @@ REQUESTS = {
     ],
     "ground_h2_n40.json": [
         "ground", "--model", "h2", "--mu", "2", "--omega", "2", "--theta", "1", "--truncation", "40",
+    ],
+    "spectrum_h3_n256.json": ["spectrum", "--model", "h3", "--truncation", "256"],
+    "spectrum_h2_n64.csv": [
+        "spectrum", "--model", "h2", "--mu", "2", "--omega", "0.7", "--theta", "1.3",
+        "--truncation", "64", "--format", "csv",
+    ],
+    "converge_h3.csv": ["converge", "--model", "h3", "--mu", "1.2", "--omega", "0.8", "--theta", "0.9"],
+    "converge_h2.csv": [
+        "converge", "--model", "h2", "--mu", "2", "--omega", "0.7", "--theta", "1.3",
+        "--truncation", "12", "--truncation", "24", "--truncation", "48",
     ],
 }
 
