@@ -302,31 +302,13 @@ def _sweep_row(mu: float, omega: float, hs: HSSpace, rep: RepOperators, gens: SU
     h2_res = max(su2_commutant(h2(hs, p), primed, hs))
     identity_val = (1.0 + theta * rp.lambda_plus) * (1.0 - theta * rp.lambda_minus)
     ground = (rp.lambda_plus + rp.lambda_minus) / (2.0 * mu)
-    return ",".join(
-        fmt(v)
-        for v in (
-            mu,
-            omega,
-            theta,
-        )
-    ) + f",{levels}," + ",".join(
-        fmt(v)
-        for v in (
-            rp.lambda_plus,
-            rp.lambda_minus,
-            rp.mu_prime,
-            rp.omega_prime,
-            # The angle that diagonalizes the swept (mu, omega) oscillator;
-            # it vanishes exactly at the critical point.
-            phi_h2,
-            identity_val,
-            ground,
-            h2_res,
-            j3r,
-            max(j1r, j2r),
-            suite.zeeman_difference_residual,
-        )
+    values = (
+        rp.lambda_plus, rp.lambda_minus, rp.mu_prime, rp.omega_prime,
+        # The angle that diagonalizes the swept (mu, omega) oscillator;
+        # it vanishes exactly at the critical point.
+        phi_h2, identity_val, ground, h2_res, j3r, max(j1r, j2r), suite.zeeman_difference_residual,
     )
+    return ",".join([fmt(mu), fmt(omega), fmt(theta), str(levels), *map(fmt, values)])
 
 
 def _theta_rows(mus: tuple[float, ...], omegas: tuple[float, ...], theta: float, levels: int) -> list[str]:

@@ -357,34 +357,29 @@ def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     return w, _fix_column_phases(v)
 
 
-def hermitian_eigvals(h: TridiagonalBlocks) -> np.ndarray:
-    """Ascending eigenvalues, solved one block at a time (non-finite
-    entries raise ValueError)."""
-    per_block = [scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]
-    return np.sort(np.concatenate(per_block))
+def hermitian_eigvals(h: TridiagonalBlocks, bounds: np.ndarray, k: int) -> np.ndarray:
+    """The k >= 1 lowest eigenvalues of h, ascending.  ``bounds[b]`` is a
+    lower bound on the lowest eigenvalue of block b.  Whole blocks are solved
+    in ascending order of bound until the next bound is above the k-th lowest
+    level found.  Non-finite entries in a solved block raise ValueError."""
+    lowest = np.empty(0)
+    for b in np.argsort(bounds, kind="stable").tolist():
+        if lowest.size == k and bounds[b] > lowest[-1]:
+            break
+        _, diag, off = h.blocks[b]
+        lowest = np.sort(np.concatenate([lowest, scipy.linalg.eigvalsh_tridiagonal(diag, off)]))[:k]
+    return lowest
 
 
 def hermitian_ground(h: TridiagonalBlocks, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenvalues of h, ascending, and the unit eigenvector
-    of the lowest.
-
-    ``bounds[k]`` is a lower bound on the lowest eigenvalue of block k.
-    Blocks are solved for all their eigenvalues in ascending order of bound,
-    until the next bound is above the second-lowest level found: no block
-    left can hold either of the two lowest levels.  The vector comes from the
-    first block, in block order, whose lowest level is the lowest found.
-    """
-    heads: dict[int, float] = {}  # the lowest level of each block solved
-    lowest = np.empty(0)
-    for k in np.argsort(bounds, kind="stable").tolist():
-        if lowest.size == 2 and bounds[k] > lowest[1]:
-            break
-        _, diag, off = h.blocks[k]
-        w = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-        heads[k] = w[0]
-        lowest = np.sort(np.concatenate([lowest, w[:2]]))[:2]
-    index, diag, off = h.blocks[min(heads, key=lambda k: (heads[k], k))]
-    _, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    """The two lowest eigenvalues of h, ascending (``hermitian_eigvals``), and
+    the unit eigenvector of the lowest.  It comes from the block of lowest
+    first eigenvalue among those bounded at or below E0 (one block at almost
+    every input), the first in block order on a tie."""
+    lowest = hermitian_eigvals(h, bounds, 2)
+    candidates = [h.blocks[b] for b in np.flatnonzero(bounds <= lowest[0])]
+    pairs = [(scipy.linalg.eigh_tridiagonal(d, o, select="i", select_range=(0, 0)), i) for i, d, o in candidates]
+    (_, v), index = min(pairs, key=lambda pair: pair[0][0][0])
     vec = np.zeros(h.dim, dtype=np.complex128)
     vec[index] = v[:, 0]
     return lowest, vec

@@ -530,6 +530,31 @@ class TestInfeasibleInputs:
         assert peak < 64 * 2**20
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--truncation", "100000"],
+            ["converge", "--truncation", "8", "--truncation", "100000"],
+        ],
+    )
+    def test_oversized_spectrum_exits_before_allocating(self, tmp_path, capsys, monkeypatch, argv):
+        # The sectors and closed-form levels of N = 100000 take about
+        # 72 N^2 bytes, 671 GiB.  On a machine that reports 8 GiB the guard
+        # names N and exits before allocating (converge after its N = 8 row).
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        out = tmp_path / "report"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "N=100000" in capsys.readouterr().err
+        assert peak < 64 * 2**20
+        assert not out.exists()
+
     def test_saturated_angle_ground_rejected(self, tmp_path, capsys):
         # phi = -46.4: tanh(phi) rounds to -1, so no truncation meets the
         # ground-state tail bound.

@@ -351,9 +351,10 @@ class TestTridiagonalBlocks:
         h = self.blocks(seed)
         dense = dense_blocks(h)
         vals, _ = hermitian_eig(Operator(dense))
-        assert np.allclose(hermitian_eigvals(h), vals, atol=1e-13)
         # -inf bounds every block, so every block is solved.
-        w, g = hermitian_ground(h, np.full(len(h.blocks), -np.inf))
+        every = np.full(len(h.blocks), -np.inf)
+        assert np.allclose(hermitian_eigvals(h, every, h.dim), vals, atol=1e-13)
+        w, g = hermitian_ground(h, every)
         assert np.allclose(w, vals[:2], atol=1e-13)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(dense @ g, vals[0] * g, atol=1e-12)
@@ -361,7 +362,7 @@ class TestTridiagonalBlocks:
     def test_rejects_non_finite(self):
         h = TridiagonalBlocks(2, ((np.array([0, 1]), np.array([1.0, np.inf]), np.array([0.5])),))
         with pytest.raises(ValueError):
-            hermitian_eigvals(h)
+            hermitian_eigvals(h, np.full(len(h.blocks), -np.inf), h.dim)
 
 
 @settings(max_examples=25, deadline=None)

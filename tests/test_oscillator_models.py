@@ -277,7 +277,8 @@ class TestSectorForm:
         scale = max(1.0, float(np.linalg.norm(oracle)))
         assert np.linalg.norm(dense - oracle) <= 1e-12 * scale
         reference = np.linalg.eigvalsh(dense)
-        assert np.max(np.abs(hermitian_eigvals(h) - reference)) <= 1e-12 * scale
+        every = np.full(len(h.blocks), -np.inf)
+        assert np.max(np.abs(hermitian_eigvals(h, every, h.dim) - reference)) <= 1e-12 * scale
 
     def test_no_entries_between_sectors(self):
         # Every non-zero of the oracle joins labels with the same m - n.

@@ -73,3 +73,31 @@ def test_name_appears_nowhere(name):
         )
 
     assert _modules_where(uses) == []
+
+
+def _names_eigvalsh(node: ast.AST) -> bool:
+    name = "eigvalsh_tridiagonal"
+    return (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in node.name.split("."))
+    )
+
+
+def test_one_sector_eigenvalue_solver():
+    """Every sector eigenvalue comes from ``operator_core.hermitian_eigvals``:
+    no other function, and no module-level code, names scipy's
+    ``eigvalsh_tridiagonal``, so every report solves sectors in one order and
+    stops by one rule."""
+    callers, references, inside = [], 0, 0
+    for path in SOURCES:
+        tree = _tree(path)
+        references += sum(map(_names_eigvalsh, ast.walk(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = sum(map(_names_eigvalsh, ast.walk(node)))
+                if found:
+                    callers.append(f"{path.stem}.{node.name}")
+                    inside += found
+    assert callers == ["operator_core.hermitian_eigvals"]
+    assert inside == references

@@ -7,10 +7,17 @@ import scipy.linalg
 from conftest import dense_blocks
 from moyal_lab.operator_core import TridiagonalBlocks, hermitian_eigvals, hermitian_ground
 from moyal_lab.moyal_rep import HSSpace, ModelConfig, basis_state
-from moyal_lab.oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, critical_point, sector_blocks
+from moyal_lab.oscillator_models import (
+    MODELS,
+    OscParams,
+    SpectrumFormula,
+    analytic_spectrum,
+    critical_point,
+    sector_blocks,
+)
 from moyal_lab.bogoliubov_flow import ground_state_closed, phi_for
 from moyal_lab.spectra_harness import (
-    _analytic_levels,
+    _closed_form,
     _sector_bounds,
     build_model,
     convergence_study,
@@ -153,7 +160,8 @@ class TestGroundOverlap:
         g = ground_state_closed(hs, 0.0)
         formula = SpectrumFormula("test", lambda m, n: 2.0 * m + 1.0, lambda j, j3: 2.0 * (j + j3) + 1.0)
         degenerate = sector_blocks(8, 1.0, 0.0, 2.0)
-        assert np.array_equal(hermitian_eigvals(degenerate), _analytic_levels(formula, 8))
+        every = np.full(len(degenerate.blocks), -np.inf)
+        assert np.array_equal(hermitian_eigvals(degenerate, every, 64), _closed_form(formula, 8)[0])
         with pytest.raises(ValueError, match="degenerate"):
             ground_overlap(degenerate, formula, g)
 
@@ -203,3 +211,42 @@ class TestPrunedGround:
         levels, _ = hermitian_ground(h, _sector_bounds(f, 24))
         assert levels == pytest.approx([2.0, 4.0], abs=1e-12)
         assert sorted(sizes) == [23, 23, 24]
+
+
+def all_sector_levels(h: TridiagonalBlocks) -> np.ndarray:
+    """Reference for ``hermitian_eigvals``: every block solved, all levels sorted."""
+    return np.sort(np.concatenate([scipy.linalg.eigvalsh_tridiagonal(diag, off) for _, diag, off in h.blocks]))
+
+
+class TestBoundedEigvals:
+    def test_matches_all_sector_solve(self):
+        """Solving sectors in ascending order of their closed-form bound and
+        stopping past the k-th level keeps the k lowest levels of the full
+        solve bit for bit, for one and two levels, the trusted count and the
+        whole lattice."""
+        rng = np.random.default_rng(23)
+        for case in range(200):
+            model = MODELS[case % 4]
+            mu, omega, theta = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=3))
+            levels = int(rng.integers(8, 65))
+            h, f = build_model(model, OscParams(mu, omega), theta, levels)
+            bounds, want = _sector_bounds(f, levels), all_sector_levels(h)
+            for k in sorted({1, 2, trusted_level_count(levels, f), levels**2}):
+                label = (model, mu, omega, theta, levels, k)
+                assert np.array_equal(hermitian_eigvals(h, bounds, k), want[:k]), label
+
+    def test_spectrum_solves_the_sectors_below_its_last_level(self, monkeypatch):
+        """h3 at N = 24 and mu = omega = theta = 1 compares its trusted levels
+        after solving 12 of its 47 sectors: the others are bounded above the
+        last level compared."""
+        h, f = build_model("h3", OscParams(1.0, 1.0), 1.0, 24)
+        solve, sizes = scipy.linalg.eigvalsh_tridiagonal, []
+
+        def counted(diag, off):
+            sizes.append(diag.size)
+            return solve(diag, off)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
+        report = diagonalize_compare(h, f, 24)
+        assert sorted(sizes) == [16, 17, 18, 19, 20, 21, 21, 22, 22, 23, 23, 24]
+        assert np.array_equal(report.numeric, all_sector_levels(h)[:report.compared_levels])
