@@ -21,16 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .operator_core import Operator, TridiagonalBlocks, adjoint, expm, from_entries
-from .moyal_rep import (
-    HSSpace,
-    HSState,
-    RepOperators,
-    build_rep,
-    check_memory,
-    hs_norm,
-    ladders,
-    state_from_matrix,
-)
+from .moyal_rep import HSSpace, RepOperators, build_rep, check_memory, ladders
 from .oscillator_models import OscParams, sector_blocks
 
 __all__ = [
@@ -108,25 +99,34 @@ def dilatation_unitary(hs: HSSpace, phi: float) -> Operator:
     for e in expm(TridiagonalBlocks(hs.dim, chains[n - 1:]), DILATATION_CONSTANT * phi):
         s = np.array([1, 1j, -1, -1j])[np.arange(len(e)) % 4]
         exps.append((s[:, None] * e * s.conj()).real.ravel())
-    # Entry (i, j) of the sector-d block, row-major, couples the labels
-    # i (N + 1) + base and j (N + 1) + base, base = max(d, 0) N + max(-d, 0).
-    d = np.arange(1 - n, n)
-    sizes = n - np.abs(d)
-    areas = sizes**2
-    block = np.repeat(np.arange(d.size), areas)
-    i, j = np.divmod(np.arange(block.size) - np.repeat(np.cumsum(areas) - areas, areas), sizes[block])
-    base = (np.maximum(d, 0) * n + np.maximum(-d, 0))[block]
-    vals = np.concatenate([exps[abs(k)] for k in d.tolist()])
-    return from_entries(hs.dim, i * (n + 1) + base, j * (n + 1) + base, vals)
+    # Entry (i, j) of a chain's block, row-major, couples its labels index[i]
+    # and index[j]: each label repeats, and the whole chain recurs, size times.
+    index = [index for index, _, _ in chains]
+    sizes = np.array([labels.size for labels in index])
+    rows = np.repeat(np.concatenate(index), np.repeat(sizes, sizes))
+    cols = np.concatenate([labels for labels in index for _ in labels])
+    vals = np.concatenate([exps[abs(d)] for d in range(1 - n, n)])
+    return from_entries(hs.dim, rows, cols, vals)
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Normalized exact ground state as a Hilbert-Schmidt element."""
+    """Exact ground state sum_m coeffs[m] |m><m| on ``space``, held as its
+    m = n diagonal: ``coeffs`` is the read-only (N,) complex array of those
+    amplitudes and ``norm`` its Hilbert-Schmidt norm."""
 
-    psi0: HSState
+    space: HSSpace
+    coeffs: np.ndarray
     phi: float
     norm: float
+
+
+def _ground_state(hs: HSSpace, coeffs: np.ndarray, phi: float) -> GroundState:
+    c = coeffs.astype(np.complex128)
+    c.setflags(write=False)
+    # Tr(psi0^dag psi0) of the diagonal state, one product per column, summed
+    # as ``hs_norm`` sums the columns.
+    return GroundState(space=hs, coeffs=c, phi=phi, norm=float(np.sqrt(np.sum(c.conj() * c).real)))
 
 
 def required_levels(phi: float) -> int:
@@ -146,10 +146,8 @@ def _check_tail(hs: HSSpace, phi: float) -> None:
         raise ValueError(
             f"truncation {hs.levels} too small for phi={phi:.6g}; need at least {need} levels"
         )
-    # A ground-state run holds about nine N x N complex arrays at once: the
-    # closed and flow states, the sector Hamiltonian and its eigenpairs, and
-    # the overlap's copies and products.  The flow's L x L real eigenbasis
-    # fits under the same estimate: pad <= 2.43 N + 1 at the tail bound, so
+    # The states are N coefficients; this 160 N^2-byte guard holds for the
+    # flow's L x L real eigenbasis: pad <= 2.43 N + 1 at the tail bound, so
     # L = min(N, pad) + pad <= 3.43 N + 1 takes about 94 N^2 bytes.
     check_memory(10 * 16 * hs.dim, f"ground state at N={hs.levels}")
 
@@ -157,11 +155,8 @@ def _check_tail(hs: HSSpace, phi: float) -> None:
 def ground_state_closed(hs: HSSpace, phi: float) -> GroundState:
     """Closed form sech(phi) * sum_m (-tanh phi)^m |m><m|."""
     _check_tail(hs, phi)
-    n = hs.levels
-    coeffs = (1.0 / math.cosh(phi)) * (-math.tanh(phi)) ** np.arange(n)
-    mat = np.diag(coeffs.astype(np.complex128))
-    state = HSState(hs, mat.ravel())
-    return GroundState(psi0=state, phi=phi, norm=hs_norm(state))
+    coeffs = (1.0 / math.cosh(phi)) * (-math.tanh(phi)) ** np.arange(hs.levels)
+    return _ground_state(hs, coeffs, phi)
 
 
 def _sector_flow(levels: int, t: float) -> np.ndarray:
@@ -203,8 +198,7 @@ def ground_state_unitary(hs: HSSpace, phi: float) -> GroundState:
     kept = min(hs.levels, pad)
     coeffs = np.zeros(hs.levels)
     coeffs[:kept] = _sector_flow(kept + pad, DILATATION_CONSTANT * phi)[:kept]
-    state = state_from_matrix(hs, np.diag(coeffs))
-    return GroundState(psi0=state, phi=phi, norm=hs_norm(state))
+    return _ground_state(hs, coeffs, phi)
 
 
 def c_operators(hs: HSSpace, p: OscParams) -> tuple[Operator, Operator]:
@@ -239,12 +233,12 @@ class IntertwinerReport:
 
 def intertwiner_check(psi0: GroundState, lambda_plus: float, theta: float) -> IntertwinerReport:
     """Safe-block (m, n <= N - 2) residuals of the relations tying psi0 to the
-    bare ladder, with (b psi0)[m, n] = sqrt(m + 1) psi0[m + 1, n] and
-    (psi0 b)[m, n] = psi0[m, n - 1] sqrt(n)."""
-    m = psi0.psi0.as_matrix()
-    root = np.sqrt(np.arange(1.0, m.shape[0]))
-    left = root[:, None] * m[1:, :-1]
-    right = np.pad(m[:-1, :-2] * root[:-1], ((0, 0), (1, 0)))
+    bare ladder.  For the diagonal psi0 = sum_k c_k |k><k|, b psi0 and psi0 b
+    are non-zero there only at (k, k + 1), k <= N - 3, with the values
+    sqrt(k + 1) c_(k+1) and sqrt(k + 1) c_k."""
+    c = psi0.coeffs
+    root = np.sqrt(np.arange(1.0, c.size - 1))
+    left, right = root * c[1:-1], root * c[:-2]
     primary = float(np.linalg.norm((1.0 + theta * lambda_plus) * left - right))
     tanh_form = float(np.linalg.norm(left + math.tanh(psi0.phi) * right))
     return IntertwinerReport(residual=primary, tanh_residual=tanh_form)

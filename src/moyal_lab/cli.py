@@ -352,7 +352,7 @@ def cmd_ground(cfg: RunConfig) -> int:
     hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
     closed = ground_state_closed(hs, phi)
     unitary = ground_state_unitary(hs, phi)
-    diff = float(np.linalg.norm(closed.psi0.vec - unitary.psi0.vec))
+    diff = float(np.linalg.norm(closed.coeffs - unitary.coeffs))
     overlap = ground_overlap(*build_model(cfg.model, p, theta, levels), closed)
     rp = renormalized_params(p, theta)
     inter = intertwiner_check(closed, rp.lambda_plus, theta)

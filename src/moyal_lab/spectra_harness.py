@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import TridiagonalBlocks, hermitian_eigvals, hermitian_ground
-from .moyal_rep import HSState, check_memory, hs_inner, hs_norm
+from .moyal_rep import HSState, check_memory, hs_norm
 from .oscillator_models import OscParams, SpectrumFormula, analytic_spectrum, sector_hamiltonian
 from .bogoliubov_flow import GroundState
 
@@ -208,7 +208,7 @@ def ground_overlap(h: TridiagonalBlocks, formula: SpectrumFormula, psi0: GroundS
     (``_sector_bounds``).  Those levels count as degenerate within 1e-6
     times the closed form's median level gap.
     """
-    hs = psi0.psi0.space
+    hs = psi0.space
     if h.dim != hs.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {hs.dim}")
     evals, vec = hermitian_ground(h, _sector_bounds(formula, hs.levels))
@@ -218,6 +218,7 @@ def ground_overlap(h: TridiagonalBlocks, formula: SpectrumFormula, psi0: GroundS
         raise ValueError(
             f"numeric ground level is degenerate (E0={evals[0]:.12g}, E1={evals[1]:.12g})"
         )
-    ground = HSState(hs, vec)
-    reference = HSState(hs, psi0.psi0.vec / psi0.norm)
-    return float(abs(hs_inner(ground, reference)) / hs_norm(ground))
+    # psi0 is diagonal, so only the m = n entries of vec meet it: one product
+    # per column, summed as ``hs_inner`` sums the columns.
+    overlap = complex(np.sum(vec[:: hs.levels + 1].conj() * (psi0.coeffs / psi0.norm)))
+    return float(abs(overlap) / hs_norm(HSState(hs, vec)))

@@ -34,6 +34,7 @@ from moyal_lab.moyal_rep import (
     build_rep,
     dimensionless,
     hs_norm,
+    state_from_matrix,
 )
 from moyal_lab.schwinger_su2 import (
     casimir,
@@ -310,12 +311,12 @@ def test_criterion_6_critical_point():
 def _flow_signs(state: GroundState) -> tuple[str, bool]:
     """Eigenvalue signs of psi0 against the closed-form pattern.
 
-    The operator eigenvalues of psi0 above 1e-13, ordered by decreasing
-    magnitude, must have the signs sign(-tanh phi)^m of the closed form
+    The operator eigenvalues of the diagonal psi0, its coefficients, above
+    1e-13, ordered by decreasing magnitude, must have the signs sign(-tanh phi)^m of the closed form
     sech(phi) (-tanh phi)^m.  Returns the leading signs as text and the
     verdict.
     """
-    evals = np.linalg.eigvalsh(state.psi0.as_matrix())
+    evals = state.coeffs.real
     ordered = evals[np.argsort(-np.abs(evals))]
     signs = np.sign(ordered[np.abs(ordered) > 1e-13])
     predicted = np.sign(-math.tanh(state.phi)) ** np.arange(len(signs))
@@ -330,11 +331,11 @@ def test_criterion_7_ground_state_equivalence():
     hs = HSSpace(ModelConfig(theta=theta, truncation=48))
     closed = ground_state_closed(hs, phi)
     unitary = ground_state_unitary(hs, phi)
-    diff = float(np.linalg.norm(closed.psi0.vec - unitary.psi0.vec))
+    diff = float(np.linalg.norm(closed.coeffs - unitary.coeffs))
     norm_err = abs(closed.norm - 1.0)
 
     bl_p, _ = bogoliubov_pair(hs, phi)
-    annihilation = hs_norm(apply_op(bl_p, closed.psi0))
+    annihilation = hs_norm(apply_op(bl_p, state_from_matrix(hs, np.diag(closed.coeffs))))
 
     lam_p, _ = lambdas(p, theta)
     inter = intertwiner_check(closed, lam_p, theta).residual
@@ -349,7 +350,7 @@ def test_criterion_7_ground_state_equivalence():
     phi_h2 = phi_for(OscParams(2.0, 2.0), 1.0, "h2")
     hs_h2 = HSSpace(ModelConfig(theta=1.0, truncation=16))
     flow_h2 = ground_state_unitary(hs_h2, phi_h2)
-    h2_diff = float(np.linalg.norm(ground_state_closed(hs_h2, phi_h2).psi0.vec - flow_h2.psi0.vec))
+    h2_diff = float(np.linalg.norm(ground_state_closed(hs_h2, phi_h2).coeffs - flow_h2.coeffs))
     h2_signs, h2_ok = _flow_signs(flow_h2)
     h2_ok = h2_ok and phi_h2 > 0.0 and h2_diff <= 1e-10
 

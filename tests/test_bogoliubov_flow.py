@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,12 +264,11 @@ class TestGroundState:
         hs = HSSpace(ModelConfig(theta=1.0, truncation=24))
         phi = phi_for(OscParams(1.0, 1.0), 1.0, "h3")
         g = ground_state_closed(hs, phi)
-        mat = g.psi0.as_matrix()
+        assert g.coeffs.shape == (24,) and g.coeffs.dtype == np.complex128
+        assert not g.coeffs.flags.writeable
         t = -math.tanh(phi)
         for m in range(6):
-            assert mat[m, m] == pytest.approx((1.0 / math.cosh(phi)) * t**m, abs=1e-14)
-        off = mat - np.diag(np.diagonal(mat))
-        assert np.linalg.norm(off) == 0.0
+            assert g.coeffs[m] == pytest.approx((1.0 / math.cosh(phi)) * t**m, abs=1e-14)
 
     def test_closed_form_normalized(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))
@@ -281,7 +281,21 @@ class TestGroundState:
         phi = phi_for(OscParams(1.0, 1.0), 1.0, "h3")
         a = ground_state_closed(hs, phi)
         b = ground_state_unitary(hs, phi)
-        assert np.linalg.norm(a.psi0.vec - b.psi0.vec) < 1e-10
+        assert np.linalg.norm(a.coeffs - b.coeffs) < 1e-10
+
+    def test_states_hold_no_square_array(self):
+        """Both ground states are their N coefficients: at N = 3000 an
+        N x N complex state would take 144 MB."""
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=3000))
+        tracemalloc.start()
+        try:
+            closed = ground_state_closed(hs, -0.4)
+            unitary = ground_state_unitary(hs, -0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert closed.coeffs.shape == unitary.coeffs.shape == (3000,)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -316,7 +330,7 @@ class TestGroundState:
         column = apply_op(dilatation_unitary(big, phi), basis_state(big, 0, 0)).as_matrix()
         assert not (column - np.diag(np.diagonal(column))).any()
         flow = ground_state_unitary(HSSpace(ModelConfig(theta=1.0, truncation=levels)), phi)
-        assert np.max(np.abs(np.diagonal(flow.psi0.as_matrix()) - np.diagonal(column)[:levels])) <= 1e-13
+        assert np.max(np.abs(flow.coeffs - np.diagonal(column)[:levels])) <= 1e-13
 
     @pytest.mark.parametrize(
         ("model", "mu", "omega", "levels", "edge"),
@@ -329,10 +343,10 @@ class TestGroundState:
         hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
         phi = phi_for(OscParams(mu, omega), 1.0, model)
         assert required_levels(phi) == levels
-        closed = ground_state_closed(hs, phi).psi0.vec
-        unpadded = np.diag(_sector_flow(levels, -phi)).ravel()
+        closed = ground_state_closed(hs, phi).coeffs
+        unpadded = _sector_flow(levels, -phi)
         assert np.linalg.norm(unpadded - closed) == pytest.approx(edge, rel=0.05)
-        assert np.linalg.norm(ground_state_unitary(hs, phi).psi0.vec - closed) < 1e-15
+        assert np.linalg.norm(ground_state_unitary(hs, phi).coeffs - closed) < 1e-15
 
     @pytest.mark.parametrize(
         ("model", "mu", "omega", "theta", "extra"),
@@ -348,9 +362,9 @@ class TestGroundState:
         pad = math.ceil(math.log(1e-17) / math.log(abs(math.tanh(phi))))
         levels = pad + extra
         hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
-        short = np.diagonal(ground_state_unitary(hs, phi).psi0.as_matrix()).real
+        short = ground_state_unitary(hs, phi).coeffs.real
         full = _sector_flow(levels + pad, DILATATION_CONSTANT * phi)[:levels]
-        closed = np.diagonal(ground_state_closed(hs, phi).psi0.as_matrix()).real
+        closed = ground_state_closed(hs, phi).coeffs.real
         assert not short[pad:].any()
         assert np.max(np.abs(closed[pad:]), initial=0.0) <= 1e-17
         assert np.max(np.abs(full[pad:]), initial=0.0) <= 2e-16
@@ -362,7 +376,7 @@ class TestGroundState:
         rp = renormalized_params(p, 1.0)
         g = ground_state_closed(hs, rp.phi)
         bl, _ = bogoliubov_pair(hs, rp.phi)
-        assert hs_norm(apply_op(bl, g.psi0)) < 1e-10
+        assert hs_norm(apply_op(bl, state_from_matrix(hs, np.diag(g.coeffs)))) < 1e-10
 
     def test_all_eigenvalues_positive(self):
         """The geometric ratio -tanh(phi) is positive for the physical
@@ -370,14 +384,13 @@ class TestGroundState:
         hs = HSSpace(ModelConfig(theta=1.0, truncation=40))
         phi = phi_for(OscParams(1.0, 1.0), 1.0, "h3")
         g = ground_state_closed(hs, phi)
-        eigs = np.real(np.diagonal(g.psi0.as_matrix()))
+        eigs = g.coeffs.real
         assert np.all(eigs > 0.0)
 
     def test_critical_point_ground_is_vacuum_dyad(self):
         hs = HSSpace(ModelConfig(theta=1.0, truncation=16))
         g = ground_state_closed(hs, 0.0)
-        expected = basis_state(hs, 0, 0)
-        assert np.allclose(g.psi0.vec, expected.vec)
+        assert np.allclose(g.coeffs, np.eye(1, 16)[0])
 
 
 class TestCOperators:
@@ -401,7 +414,7 @@ class TestCOperators:
         rp = renormalized_params(p, 1.0)
         g = ground_state_closed(hs, rp.phi)
         for c in c_operators_primed(bogoliubov_pair(hs, rp.phi)):
-            assert hs_norm(apply_op(c, g.psi0)) < 1e-10
+            assert hs_norm(apply_op(c, state_from_matrix(hs, np.diag(g.coeffs)))) < 1e-10
 
 
 class TestIntertwiner:
@@ -425,33 +438,40 @@ class TestIntertwiner:
     @pytest.mark.parametrize("levels", [4, 9, 24])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_csr_ladder_on_general_states(self, levels, seed):
-        """Scaling the rows and columns of psi0 gives the residuals of scipy's
-        CSR ladder products bit for bit, for states that are not diagonal."""
+        """The residuals are those of the (k, k + 1) entries, k <= N - 3, of
+        scipy's CSR ladder products bit for bit, for diagonal states with
+        general complex coefficients; the safe block holds no other non-zero
+        entry."""
         rng = np.random.default_rng(seed)
         theta, lam = 0.7, float(rng.normal())
         hs = HSSpace(ModelConfig(theta=theta, truncation=levels))
-        m = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
-        m[rng.random(m.shape) < 0.2] = 0.0
-        g = GroundState(psi0=state_from_matrix(hs, m), phi=float(rng.normal()), norm=1.0)
-        b = annihilator(hs.fock()).mat
+        c = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+        c[rng.random(levels) < 0.2] = 0.0
+        g = GroundState(space=hs, coeffs=c, phi=float(rng.normal()), norm=1.0)
+        b, m = annihilator(hs.fock()).mat, np.diag(c)
         left, right = b @ m, m @ b
         sub = np.ix_(np.arange(levels - 1), np.arange(levels - 1))
+        k = np.arange(levels - 2)
         report = intertwiner_check(g, lam, theta)
-        assert report.residual == float(np.linalg.norm(((1.0 + theta * lam) * left - right)[sub]))
-        assert report.tanh_residual == float(np.linalg.norm((left + math.tanh(g.phi) * right)[sub]))
+        for residual, form in (
+            (report.residual, (1.0 + theta * lam) * left - right),
+            (report.tanh_residual, left + math.tanh(g.phi) * right),
+        ):
+            assert np.count_nonzero(form[sub]) == np.count_nonzero(form[k, k + 1])
+            assert residual == float(np.linalg.norm(form[k, k + 1]))
 
     @pytest.mark.parametrize("levels", [16, 200])
     @pytest.mark.parametrize("phi", [-0.3, 0.35])
     def test_sparse_ladder_matches_dense(self, levels, phi):
-        """Scaling the rows and columns of psi0 gives the residuals of the
-        dense ladder products bit for bit."""
+        """The residuals are those of the (k, k + 1) entries of the dense
+        ladder products bit for bit."""
         hs = HSSpace(ModelConfig(theta=1.0, truncation=levels))
         g = ground_state_closed(hs, phi)
         lam = 0.7
         b = annihilator(hs.fock()).toarray()
-        m = g.psi0.as_matrix()
+        m = np.diag(g.coeffs)
         left, right = b @ m, m @ b
-        sub = np.ix_(np.arange(levels - 1), np.arange(levels - 1))
+        k = np.arange(levels - 2)
         report = intertwiner_check(g, lam, 1.0)
-        assert report.residual == float(np.linalg.norm(((1.0 + lam) * left - right)[sub]))
-        assert report.tanh_residual == float(np.linalg.norm((left + math.tanh(phi) * right)[sub]))
+        assert report.residual == float(np.linalg.norm(((1.0 + lam) * left - right)[k, k + 1]))
+        assert report.tanh_residual == float(np.linalg.norm((left + math.tanh(phi) * right)[k, k + 1]))

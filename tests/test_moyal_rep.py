@@ -173,7 +173,38 @@ class TestActions:
         assert np.allclose(composed.toarray(), right_action(b @ a, hs).toarray())
 
 
+def trace_inner(phi: HSState, psi: HSState) -> complex:
+    """Oracle for ``hs_inner``: Tr(phi^dag psi) from the matrix product."""
+    return complex(np.trace(phi.as_matrix().conj().T @ psi.as_matrix()))
+
+
 class TestInnerProduct:
+    @pytest.mark.parametrize("levels", [4, 7, 16, 33, 130])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_trace_on_one_entry_per_column(self, levels, seed):
+        """Real amplitudes with at most one entry per column, as diagonal
+        states and J3-sector vectors have: the column sums are single
+        products, so the trace's bits."""
+        rng = np.random.default_rng(seed)
+        space = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        states = []
+        for _ in range(2):
+            mat = np.zeros((levels, levels), dtype=np.complex128)
+            mat[rng.integers(0, levels, levels), np.arange(levels)] = rng.normal(size=levels)
+            mat[:, rng.random(levels) < 0.2] = 0.0
+            states.append(HSState(space, mat.ravel()))
+        for phi, psi in ((states[0], states[1]), (states[0], states[0])):
+            assert hs_inner(phi, psi) == trace_inner(phi, psi)
+        assert hs_norm(states[1]) == float(np.sqrt(trace_inner(states[1], states[1]).real))
+
+    @pytest.mark.parametrize("levels", [4, 12, 33])
+    def test_matches_trace_on_general_states(self, levels):
+        rng = np.random.default_rng(levels)
+        space = HSSpace(ModelConfig(theta=1.0, truncation=levels))
+        phi = HSState(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+        psi = HSState(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+        assert hs_inner(phi, psi) == pytest.approx(trace_inner(phi, psi), rel=1e-13)
+
     def test_matches_vector_dot(self, hs):
         rng = np.random.default_rng(4)
         phi = HSState(hs, rng.normal(size=hs.dim) + 1j * rng.normal(size=hs.dim))

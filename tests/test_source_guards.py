@@ -1,5 +1,6 @@
 """The CSR form is a view for tests: an AST scan of the package source
-keeps production code on the stored diagonals."""
+keeps production code on the stored diagonals, and off dense N x N state
+constructions."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,23 @@ def test_one_sector_eigenvalue_solver():
                     inside += found
     assert callers == ["operator_core.hermitian_eigvals"]
     assert inside == references
+
+
+def _calls_numpy_diag_or_trace(node: ast.AST) -> bool:
+    names = ("diag", "trace")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy" and any(alias.name in names for alias in node.names)
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in names
+        and isinstance(func.value, ast.Name)
+        and func.value.id in ("np", "numpy")
+    )
+
+
+def test_no_dense_diagonal_or_trace():
+    """The ground state is its N diagonal coefficients and ``hs_inner`` a
+    column sum: no module inflates a vector with ``np.diag`` or reads a
+    product back through ``np.trace``."""
+    assert _modules_where(_calls_numpy_diag_or_trace) == []

@@ -149,7 +149,7 @@ class TestGroundOverlap:
         # The exact ground state, and the vacuum dyad, which overlaps it by
         # about sech(phi) and so tests the vector rather than a value near 1.
         for g in (ground_state_closed(hs, phi), ground_state_closed(hs, 0.0)):
-            dense = abs(np.vdot(vecs[:, 0], g.psi0.vec / g.norm))
+            dense = abs(np.vdot(vecs[:: hs.levels + 1, 0], g.coeffs / g.norm))
             assert ground_overlap(h, f, g) == pytest.approx(dense, abs=1e-12)
         assert ground_overlap(h, f, ground_state_closed(hs, 0.0)) < 0.999
 
@@ -164,6 +164,18 @@ class TestGroundOverlap:
         assert np.array_equal(hermitian_eigvals(degenerate, every, 64), _closed_form(formula, 8)[0])
         with pytest.raises(ValueError, match="degenerate"):
             ground_overlap(degenerate, formula, g)
+
+    def test_ground_outside_diagonal_sector(self):
+        # alpha = 1, beta = 0 and a Zeeman term -4 give (m, n) the energy
+        # 1 - m + 3n, so the unique ground label is (N - 1, 0), in sector
+        # d = N - 1: the numeric ground vector has no m = n entry.
+        hs = HSSpace(ModelConfig(theta=1.0, truncation=16))
+        formula = SpectrumFormula("test", lambda m, n: 1.0 - m + 3.0 * n, lambda j, j3: 1.0 + 2.0 * j - 4.0 * j3)
+        h = sector_blocks(16, 1.0, 0.0, -4.0)
+        _, vec = hermitian_ground(h, _sector_bounds(formula, 16))
+        assert np.flatnonzero(vec).tolist() == [hs.index(15, 0)]
+        with np.errstate(all="raise"):
+            assert ground_overlap(h, formula, ground_state_closed(hs, 0.3)) == 0.0
 
 
 def all_sector_ground(h: TridiagonalBlocks) -> tuple[np.ndarray, np.ndarray]:
